@@ -37,25 +37,15 @@ class FeatureFlags:
             setattr(flags, aliases[token], True)
         return flags
 
-    def as_dict(self) -> dict:
-        return {
-            "filtering": self.filtering,
-            "bbox_conversion": self.bbox_conversion,
-            "reduction": self.reduction,
-        }
-
 
 @dataclass
 class PipelineConfig:
     manifest_path: str = ""
     output_dir: str = "out"
-    registry_path: Optional[str] = None
-    id_map_path: Optional[str] = None
     prompts_dir: str = "prompts"
     prompts_set: str = "default"
     conversion_prompts_dir: Optional[str] = None
     shard_dir: Optional[str] = None       # default: <output_dir>/shards
-    shard_count: int = 1
     rng_seed: int = 0
     parallelism: int = 4
     reduce_mode: str = "llm"              # "llm" | "lexical"
@@ -106,8 +96,6 @@ def config_from_dict(data: dict) -> PipelineConfig:
         cfg = PipelineConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    if cfg.shard_count < 1:
-        raise ConfigError("shard_count must be >= 1")
     if cfg.reduce_mode not in ("llm", "lexical"):
         raise ConfigError(f"bad reduce_mode {cfg.reduce_mode!r}")
     cfg.gateway = cfg.gateway.with_env_overrides()
@@ -124,14 +112,7 @@ def load_config(path: str | Path, check_paths: bool = True) -> PipelineConfig:
     cfg = config_from_dict(data)
     if check_paths:
         required = [cfg.manifest_path, str(Path(cfg.prompts_dir) / cfg.prompts_set)]
-        for optional in (
-            cfg.registry_path,
-            cfg.id_map_path,
-            cfg.scripted_fixtures,
-            cfg.conversion_prompts_dir,
-        ):
-            if optional:
-                required.append(optional)
+        required += [ref for ref in (cfg.scripted_fixtures, cfg.conversion_prompts_dir) if ref]
         for ref in required:
             if not ref or not Path(ref).exists():
                 raise ConfigError(f"referenced path does not exist: {ref!r}")

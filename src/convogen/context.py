@@ -219,15 +219,14 @@ def assemble_context(
     sentences: list[ContextSentence] = [
         make_sentence(c.text, ORIGIN_CAPTION, c.source) for c in bundle.captions
     ]
+    box_sources = ",".join(sorted({b.source for b in bundle.boxes})) or "tree"
     if tree_text.strip():
-        box_sources = ",".join(sorted({b.source for b in bundle.boxes})) or "tree"
         sentences.extend(
             tree_to_description(
                 tree_text, llm, conv_prompts, source=box_sources, max_attempts=max_attempts
             )
         )
     elif plain_box_sentences:
-        box_sources = ",".join(sorted({b.source for b in bundle.boxes})) or "tree"
         sentences.extend(
             make_sentence(s, ORIGIN_TREE, box_sources) for s in plain_box_sentences
         )

@@ -1,9 +1,17 @@
-"""Iterative conversation generation with verification and context reduction.
+"""Conversation generation from a context set, in two modes.
 
-Each stage samples a prompt template, generates a candidate turn, verifies
-it against the full context, then removes the context sentences the turn
-covered. Generation stops once the remaining context drops below the
-reduction threshold or the minimum information length.
+Staged mode (``generate_conversation``, used with reduction on) loops: each
+stage samples a prompt template, generates a candidate turn, verifies it
+against the full context (regenerating on a failed verdict), then removes
+the context sentences the turn covered. It stops once the remaining context
+drops below the reduction threshold or the minimum information length.
+
+Direct mode (``generate_conversation_direct``, reduction off) makes one
+generation call over the whole context and keeps the parsed turns that pass
+verification; a failed verdict drops the turn rather than regenerating it.
+
+Both modes share the render/call/parse retry loop (``_generate_pairs``) and
+the optional quality filter with its provenance record (``_passes_filter``).
 """
 
 from __future__ import annotations
@@ -120,22 +128,38 @@ def _first_word(text: str) -> str:
     return match.group(0).lower() if match else ""
 
 
+def _verdict(text: str, yes: str, no: str) -> Optional[bool]:
+    return {yes: True, no: False}.get(_first_word(text))
+
+
 def parse_yes_no(text: str) -> Optional[bool]:
-    word = _first_word(text)
-    if word == "yes":
-        return True
-    if word == "no":
-        return False
-    return None
+    return _verdict(text, "yes", "no")
 
 
 def parse_keep_drop(text: str) -> Optional[bool]:
-    word = _first_word(text)
-    if word == "keep":
-        return True
-    if word == "drop":
-        return False
-    return None
+    return _verdict(text, "keep", "drop")
+
+
+def _turn_prompt(template: str, S: ContextSet, turn: Turn) -> str:
+    return template.format(context=S.numbered(), human=turn.human, assistant=turn.assistant)
+
+
+def _generate_pairs(
+    S_i: ContextSet, template, llm, p: GenerationParams, seed: Optional[int]
+) -> tuple[list[tuple[str, str]], int]:
+    """Render, call the model, parse; returns (pairs, attempts used).
+
+    Unparseable output is retried up to max_retries, then GenerationFailed.
+    """
+    prompt = render(template, S_i)
+    for attempt in range(1, p.max_retries + 1):
+        pairs = parse_conversation(llm.complete(prompt, stage="generate", seed=seed))
+        if pairs:
+            return pairs, attempt
+    raise GenerationFailed(
+        f"no parseable turn from template {template.template_id!r} "
+        f"after {p.max_retries} attempts"
+    )
 
 
 def generate_turn(
@@ -146,37 +170,16 @@ def generate_turn(
     iteration: int = 0,
     seed: Optional[int] = None,
 ) -> tuple[Turn, int]:
-    """Render, call the model, parse; returns (turn, attempts used).
-
-    Unparseable output is retried up to max_retries, then GenerationFailed.
-    """
-    prompt = render(template, S_i)
-    for attempt in range(1, p.max_retries + 1):
-        reply = llm.complete(prompt, stage="generate", seed=seed)
-        pairs = parse_conversation(reply)
-        if pairs:
-            human, assistant = pairs[0]
-            return (
-                Turn(
-                    human=human,
-                    assistant=assistant,
-                    template_id=template.template_id,
-                    iteration=iteration,
-                ),
-                attempt,
-            )
-    raise GenerationFailed(
-        f"no parseable turn from template {template.template_id!r} "
-        f"after {p.max_retries} attempts"
-    )
+    """The first parsed pair as a turn; returns (turn, attempts used)."""
+    pairs, attempts = _generate_pairs(S_i, template, llm, p, seed)
+    human, assistant = pairs[0]
+    return Turn(human, assistant, template.template_id, iteration), attempts
 
 
 def verify_turn(turn: Turn, S_full: ContextSet, llm, p: GenerationParams) -> bool:
     """Cross-check a turn against the full context; unparseable verdicts
     after the retry budget count as failed verification."""
-    prompt = VERIFY_PROMPT.format(
-        context=S_full.numbered(), human=turn.human, assistant=turn.assistant
-    )
+    prompt = _turn_prompt(VERIFY_PROMPT, S_full, turn)
     for _ in range(p.max_retries):
         verdict = parse_yes_no(llm.complete(prompt, stage="verify"))
         if verdict is not None:
@@ -208,12 +211,7 @@ def reduce_context(
         return S_i
     if mode == "lexical":
         return lexical_reduce(S_i, turn)
-    reply = llm.complete(
-        REDUCE_PROMPT.format(
-            context=S_i.numbered(), human=turn.human, assistant=turn.assistant
-        ),
-        stage="reduce",
-    )
+    reply = llm.complete(_turn_prompt(REDUCE_PROMPT, S_i, turn), stage="reduce")
     if re.search(r"\bnone\b", reply.lower()) and not re.search(r"\d", reply):
         return S_i
     indices = {int(tok) for tok in re.findall(r"\d+", reply)}
@@ -228,16 +226,21 @@ def quality_filter(
 ) -> tuple[bool, str]:
     """(keep, verdict text); an unparseable verdict keeps the turn so the
     filter can never silently destroy data."""
-    reply = llm.complete(
-        FILTER_PROMPT.format(
-            context=S_full.numbered(), human=turn.human, assistant=turn.assistant
-        ),
-        stage="filter",
-    )
-    verdict = parse_keep_drop(reply)
-    if verdict is None:
-        return True, reply.strip()
-    return verdict, reply.strip()
+    reply = llm.complete(_turn_prompt(FILTER_PROMPT, S_full, turn), stage="filter")
+    return parse_keep_drop(reply) is not False, reply.strip()
+
+
+def _passes_filter(turn: Turn, S: ContextSet, llm, p: GenerationParams, prov: dict) -> bool:
+    """Apply the quality filter when enabled; a dropped turn is recorded
+    in the provenance under its iteration."""
+    if not p.quality_filter:
+        return True
+    kept, verdict = quality_filter(turn, S, llm, p)
+    if not kept:
+        prov["filtered_turns"].append(
+            {"iteration": turn.iteration, "template_id": turn.template_id, "verdict": verdict}
+        )
+    return kept
 
 
 def _fresh_provenance(S: ContextSet) -> dict:
@@ -309,18 +312,7 @@ def generate_conversation(
             continue
         prov["templates_used"].append(turn.template_id)
         prov["turn_attempts"].append(attempts_this_turn)
-        kept = True
-        if p.quality_filter:
-            kept, verdict = quality_filter(turn, S, llm, p)
-            if not kept:
-                prov["filtered_turns"].append(
-                    {
-                        "iteration": iteration - 1,
-                        "template_id": turn.template_id,
-                        "verdict": verdict,
-                    }
-                )
-        if kept:
+        if _passes_filter(turn, S, llm, p, prov):
             turns.append(turn)
         # covered information is consumed even when the filter dropped the
         # turn, otherwise a deterministic model would regenerate it forever
@@ -347,35 +339,22 @@ def generate_conversation_direct(
     rng = random.Random(rng_seed)
     prov = _fresh_provenance(S)
     template = sample_template(dist, S, rng)
-    prompt = render(template, S)
-    pairs: list[tuple[str, str]] = []
-    for attempt in range(1, p.max_retries + 1):
-        reply = llm.complete(prompt, stage="generate", seed=rng_seed)
-        pairs = parse_conversation(reply)
-        prov["retries_total"] = attempt - 1
-        if pairs:
-            break
-    if not pairs:
+    try:
+        pairs, attempts = _generate_pairs(S, template, llm, p, rng_seed)
+    except GenerationFailed:
         raise NoTurnsGenerated(
             f"no parseable conversation for {S.image.image_id} "
             f"after {p.max_retries} attempts"
-        )
+        ) from None
+    prov["retries_total"] = attempts - 1
     prov["templates_used"].append(template.template_id)
     turns: list[Turn] = []
     for i, (human, assistant) in enumerate(pairs[: p.max_turns]):
-        turn = Turn(human=human, assistant=assistant, template_id=template.template_id, iteration=i)
-        if not verify_turn(turn, S, llm, p):
-            continue
-        if p.quality_filter:
-            kept, verdict = quality_filter(turn, S, llm, p)
-            if not kept:
-                prov["filtered_turns"].append(
-                    {"iteration": i, "template_id": turn.template_id, "verdict": verdict}
-                )
-                continue
-        turns.append(turn)
+        turn = Turn(human, assistant, template.template_id, i)
+        if verify_turn(turn, S, llm, p) and _passes_filter(turn, S, llm, p, prov):
+            turns.append(turn)
     prov["iterations"] = 1
-    prov["turn_attempts"] = [prov["retries_total"] + 1]
+    prov["turn_attempts"] = [attempts]
     if not turns:
         raise NoTurnsGenerated(f"no surviving turns for {S.image.image_id}")
     return Conversation(image=S.image, turns=tuple(turns), provenance=prov)

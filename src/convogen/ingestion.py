@@ -323,19 +323,15 @@ def group_by_image(
     def namespace_of(image: ImageRef) -> str:
         return registry.namespace_for(image.dataset_id) if registry else FILE_STEM
 
-    def key_of(bundle: MetadataBundle) -> tuple[str, str]:
-        k = link_key(bundle.image, namespace_of(bundle.image), id_map)
-        return (k.namespace, k.canonical_id)
-
-    def merge_key(image: ImageRef):
+    def key_of(image: ImageRef) -> tuple[str, str]:
         k = link_key(image, namespace_of(image), id_map)
         return (k.namespace, k.canonical_id)
 
-    stream = _sorted_by_key(records, key_of, run_size)
+    stream = _sorted_by_key(records, lambda bundle: key_of(bundle.image), run_size)
     for _, group in itertools.groupby(stream, key=lambda kb: kb[0]):
         merged = None
         for _, bundle in group:
-            merged = bundle if merged is None else merge_bundles(merged, bundle, key=merge_key)
+            merged = bundle if merged is None else merge_bundles(merged, bundle, key=key_of)
         yield merged
 
 

@@ -13,7 +13,7 @@ import hashlib
 import json
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, TextIO
@@ -34,7 +34,7 @@ from .ingestion import load_bundle
 from .prompts import PromptDistribution, load_prompt_set
 from .scene_tree import build_scene_tree
 from .scripted_server import ScriptedLlmServer, default_pipeline_rules, load_fixture_file
-from .sharding import HeartbeatThread, claim_shard, load_shard
+from .sharding import HeartbeatThread, ShardClaim, claim_shard, load_shard
 
 STAGES = ("ingest", "tree", "context", "generate", "write")
 IMAGE_TOKEN = "<image>"
@@ -254,13 +254,16 @@ def process_shard(
     gateway: LlmGateway,
     dist: PromptDistribution,
     conv_prompts: ConversionPrompts,
-    worker_id: str,
+    claim: ShardClaim,
     stop_after: Optional[int] = None,
 ) -> dict:
     """Process one claimed shard; returns its stats.
 
-    ``stop_after`` aborts after that many committed images without
-    releasing the claim, simulating a crashed worker for resume tests.
+    Every commit first checks that ``claim`` is still the shard's newest
+    generation; once another worker has taken the shard over, nothing more
+    is written and the stats say ``lost``. ``stop_after`` aborts after that
+    many committed images without releasing the claim, simulating a crashed
+    worker for resume tests.
     """
     shard = load_shard(shard_path)
     shard_id = shard["shard_id"]
@@ -287,6 +290,7 @@ def process_shard(
         "errors": 0,
         "stage_s": {stage: 0.0 for stage in STAGES},
         "crashed": False,
+        "lost": False,
     }
 
     pending: list[tuple[str, dict]] = []
@@ -297,49 +301,47 @@ def process_shard(
             continue
         pending.append((key, record))
 
-    committed = 0
     with open(conv_path, "a", encoding="utf-8") as conv_out, open(
         tree_path, "a", encoding="utf-8"
     ) as tree_out:
         with ThreadPoolExecutor(max_workers=max(1, cfg.parallelism)) as pool:
-            futures: dict[int, Future] = {
-                seq: pool.submit(
+            futures = [
+                pool.submit(
                     _process_image, record, key, cfg, dist, gateway, conv_prompts,
                     errors, manifest_dir,
                 )
-                for seq, (key, record) in enumerate(pending)
-            }
-            next_seq = 0
+                for key, record in pending
+            ]
             # commit strictly in manifest order for byte-stable outputs
-            while next_seq < len(pending):
-                future = futures[next_seq]
+            for future in futures:
                 conv, tree_text, timings = future.result()
                 stats["images"] += 1
                 for stage, seconds in timings.items():
                     stats["stage_s"][stage] += seconds
-                if conv is not None:
-                    t0 = time.monotonic()
-                    write_conversation(conv, conv_out)
-                    if tree_text is not None:
-                        tree_out.write(
-                            json.dumps(
-                                {"id": conv.provenance["id"], "tree": tree_text},
-                                ensure_ascii=False,
-                            )
-                            + "\n"
+                if conv is None:
+                    continue
+                if not claim.is_current():
+                    stats["lost"] = True
+                    break
+                t0 = time.monotonic()
+                write_conversation(conv, conv_out)
+                if tree_text is not None:
+                    tree_out.write(
+                        json.dumps(
+                            {"id": conv.provenance["id"], "tree": tree_text},
+                            ensure_ascii=False,
                         )
-                        tree_out.flush()
-                    stats["stage_s"]["write"] += time.monotonic() - t0
-                    stats["conversations"] += 1
-                    stats["turns"] += len(conv.turns)
-                    committed += 1
-                    if stop_after is not None and committed >= stop_after:
-                        stats["crashed"] = True
-                        stats["errors"] = errors.count
-                        for remaining in futures.values():
-                            remaining.cancel()
-                        return stats
-                next_seq += 1
+                        + "\n"
+                    )
+                    tree_out.flush()
+                stats["stage_s"]["write"] += time.monotonic() - t0
+                stats["conversations"] += 1
+                stats["turns"] += len(conv.turns)
+                if stop_after is not None and stats["conversations"] >= stop_after:
+                    stats["crashed"] = True
+                    break
+            for future in futures:
+                future.cancel()
     stats["errors"] = errors.count
     return stats
 
@@ -391,6 +393,7 @@ def run_pipeline(
             "resumed": 0,
             "errors": 0,
             "skipped_shards": 0,
+            "lost_shards": [],
             "stage_s": {stage: 0.0 for stage in STAGES},
         }
         for shard_path in shard_paths:
@@ -406,7 +409,7 @@ def run_pipeline(
             heartbeat.start()
             try:
                 stats = process_shard(
-                    cfg, shard_path, gateway, dist, conv_prompts, worker_id, stop_after
+                    cfg, shard_path, gateway, dist, conv_prompts, claim, stop_after
                 )
             finally:
                 heartbeat.stop()
@@ -422,6 +425,9 @@ def run_pipeline(
                 # simulated crash: leave the claim in place and stop here
                 summary["crashed_shard"] = stats["shard_id"]
                 break
+            if stats["lost"]:
+                # taken over by another worker; its claim is left alone
+                summary["lost_shards"].append(stats["shard_id"])
             claim.release()
         wall = time.monotonic() - started
         summary["wall_s"] = round(wall, 3)

@@ -95,11 +95,8 @@ def render(template: PromptTemplate, ctx: ContextSet) -> str:
     ]
     if unknown:
         raise UnresolvedPlaceholder(f"no value for {unknown[0]} in {template.template_id!r}")
-    context_block = "\n".join(
-        f"{i}. {s.text}" for i, s in enumerate(ctx.sentences, 1)
-    )
     image_size = f"{ctx.image.width}x{ctx.image.height}"
-    return template.body.replace("{context}", context_block).replace(
+    return template.body.replace("{context}", ctx.numbered()).replace(
         "{image_size}", image_size
     )
 

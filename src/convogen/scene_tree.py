@@ -210,31 +210,36 @@ def _mergeable(a: SceneRegion, b: SceneRegion, p: SceneTreeParams) -> bool:
     return stats.iou >= p.t_m and stats.center_dist_norm <= p.t_s
 
 
-def _merge_component(regions: list[SceneRegion]) -> SceneRegion:
-    if len(regions) == 1:
-        return regions[0]
+def _union_bbox(regions: list[SceneRegion]) -> tuple[float, float, float, float]:
     x0 = min(r.bbox[0] for r in regions)
     y0 = min(r.bbox[1] for r in regions)
     x1 = max(r.bbox[0] + r.bbox[2] for r in regions)
     y1 = max(r.bbox[1] + r.bbox[3] for r in regions)
-    bbox = (x0, y0, x1 - x0, y1 - y0)
+    return (x0, y0, x1 - x0, y1 - y0)
+
+
+def _member_weighted_depth(regions: list[SceneRegion]) -> Optional[float]:
+    """Mean depth weighted by member count; None when no region has a depth."""
+    weighted = [(r.depth_mean, r.members) for r in regions if r.depth_mean is not None]
+    if not weighted:
+        return None
+    return sum(d * m for d, m in weighted) / sum(m for _, m in weighted)
+
+
+def _merge_component(regions: list[SceneRegion]) -> SceneRegion:
+    if len(regions) == 1:
+        return regions[0]
     mask = None
     if all(r.mask_rle for r in regions):
         union = np.zeros_like(rle.decode(regions[0].mask_rle))
         for r in regions:
             union = np.logical_or(union, rle.decode(r.mask_rle))
         mask = rle.encode(union)
-    weighted = [(r.depth_mean, r.members) for r in regions if r.depth_mean is not None]
-    depth = (
-        sum(d * m for d, m in weighted) / sum(m for _, m in weighted)
-        if weighted
-        else None
-    )
     return SceneRegion(
         label=regions[0].label,
-        bbox=bbox,
+        bbox=_union_bbox(regions),
         mask_rle=mask,
-        depth_mean=depth,
+        depth_mean=_member_weighted_depth(regions),
         attributes=tuple(sorted({a for r in regions for a in r.attributes})),
         members=sum(r.members for r in regions),
     )
@@ -358,34 +363,19 @@ def _group_siblings(nodes: list[TreeNode], p: SceneTreeParams) -> list[TreeNode]
         if len(bucket) < 2:
             out.extend(bucket)
             continue
-        total = sum(n.region.members for n in bucket)
-        x0 = min(n.region.bbox[0] for n in bucket)
-        y0 = min(n.region.bbox[1] for n in bucket)
-        x1 = max(n.region.bbox[0] + n.region.bbox[2] for n in bucket)
-        y1 = max(n.region.bbox[1] + n.region.bbox[3] for n in bucket)
-        weighted = [
-            (n.region.depth_mean, n.region.members)
-            for n in bucket
-            if n.region.depth_mean is not None
-        ]
-        depth = (
-            sum(d * m for d, m in weighted) / sum(m for _, m in weighted)
-            if weighted
-            else None
-        )
-        shared_attrs = set(bucket[0].region.attributes)
-        for n in bucket[1:]:
-            shared_attrs &= set(n.region.attributes)
+        regions = [n.region for n in bucket]
+        total = sum(r.members for r in regions)
+        shared_attrs = set(regions[0].attributes).intersection(*(r.attributes for r in regions))
         group_region = SceneRegion(
             label=label,
-            bbox=(x0, y0, x1 - x0, y1 - y0),
-            depth_mean=depth,
+            bbox=_union_bbox(regions),
+            depth_mean=_member_weighted_depth(regions),
             attributes=tuple(sorted(shared_attrs)),
             members=total,
-            area=sum(n.region.area for n in bucket),
+            area=sum(r.area for r in regions),
         )
-        avg_w = sum(n.region.bbox[2] for n in bucket) / len(bucket)
-        avg_h = sum(n.region.bbox[3] for n in bucket) / len(bucket)
+        avg_w = sum(r.bbox[2] for r in regions) / len(regions)
+        avg_h = sum(r.bbox[3] for r in regions) / len(regions)
         out.append(
             TreeNode(
                 region=group_region,

@@ -7,9 +7,9 @@ exclusive ``os.link`` to the next generation's name, so a claim never
 appears without its body, and of any number of workers that read the same
 released or stale generation exactly one publishes its successor. Workers
 never delete claim files, so no generation is reused; the holder of a
-superseded generation sees the newer file and stops refreshing or releasing
-its claim (a fencing token). A live claim has a heartbeat within the
-staleness window and no ``released`` mark.
+superseded generation sees the newer file and stops refreshing, releasing
+or committing output under its claim (a fencing token). A live claim has a
+heartbeat within the staleness window and no ``released`` mark.
 """
 
 from __future__ import annotations
@@ -125,8 +125,12 @@ class ShardClaim:
         )
 
     def is_current(self) -> bool:
-        """False once a later generation has been published for the shard."""
-        return current_generation(self.shard_path) == self.generation
+        """False once a later generation has been published for the shard.
+
+        Generations are published in order and never deleted, so one stat
+        of the next generation's file answers this.
+        """
+        return not claim_path_for(self.shard_path, self.generation + 1).exists()
 
     def refresh(self) -> bool:
         """Atomically rewrite the claim with a fresh heartbeat.

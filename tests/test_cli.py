@@ -66,6 +66,20 @@ class TestRun:
         path.write_text(json.dumps(data))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key", ["registry_path", "id_map_path", "shard_count"])
+    def test_removed_config_keys_exit_two(self, tmp_path, key):
+        # registry, id map and shard count belong to ingest and plan, not
+        # run; the shards exist, so the key is all that is wrong here
+        from convogen.sharding import plan_shards
+
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        path = write_config(tmp_path, manifest)
+        data = json.loads(path.read_text())
+        data[key] = 1 if key == "shard_count" else str(manifest)
+        path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+
     def test_unreachable_live_endpoint_exits_three(self, tmp_path):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
         from convogen.sharding import plan_shards

@@ -355,6 +355,33 @@ class TestGenerateConversationDirect:
         conv = generate_conversation_direct(ctx, dist, P, llm, rng_seed=1)
         assert [t.assistant for t in conv.turns] == ["keepme."]
 
+    def test_dropped_pair_removed_and_recorded_with_pair_index(self):
+        ctx = ctx_of_chars([200])
+        _, dist = single_template()
+        reply = "Human: A?\nAssistant: a.\nHuman: B?\nAssistant: dull.\nHuman: C?\nAssistant: c."
+        llm = FakeLlm(
+            rules=[
+                ("TASK single turn", reply),
+                ("Answer yes or no", "Yes."),
+                ("KEEP or DROP", lambda p: "DROP: dull" if "dull." in p else "KEEP"),
+            ]
+        )
+        params = GenerationParams(quality_filter=True)
+        conv = generate_conversation_direct(ctx, dist, params, llm, rng_seed=1)
+        assert [t.assistant for t in conv.turns] == ["a.", "c."]
+        assert conv.provenance["filtered_turns"] == [
+            {"iteration": 1, "template_id": "t", "verdict": "DROP: dull"}
+        ]
+
+    def test_all_unparseable_raises_after_max_retries_calls(self):
+        ctx = ctx_of_chars([200])
+        _, dist = single_template()
+        llm = FakeLlm(rules=[("TASK single turn", "never parseable")])
+        with pytest.raises(NoTurnsGenerated):
+            generate_conversation_direct(ctx, dist, P, llm, rng_seed=1)
+        assert len(llm.calls_for("generate")) == P.max_retries
+        assert len(llm.calls) == P.max_retries
+
 
 class TestContentWords:
     def test_stopwords_excluded(self):

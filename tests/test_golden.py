@@ -1,0 +1,98 @@
+"""Golden scripted output: the bytes a fixed 8-image run writes, checked in.
+
+The run-vs-run determinism test in ``test_acceptance.py`` compares two runs
+of the same code, so it cannot notice a change that alters the output. These
+files pin the output itself: one direct-mode run (every feature off) and one
+staged run (filtering, bbox conversion and reduction on, plus its trees).
+The fixture rules add a verifier that rejects some turns and a filter that
+drops others, so the retry, verify and filter bookkeeping all show up in the
+provenance.
+
+Re-record only for an intended change of output, and say so in the change:
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from convogen.config import FeatureFlags, PipelineConfig
+from convogen.gateway import GatewayConfig
+from convogen.pipeline import run_pipeline
+from convogen.scripted_server import default_pipeline_rules
+from convogen.sharding import plan_shards
+from convogen.synth import write_synthetic_manifest
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+PROMPTS_DIR = Path(__file__).resolve().parents[1] / "prompts"
+
+CASES = {
+    "direct": FeatureFlags(),
+    "staged": FeatureFlags(filtering=True, bbox_conversion=True, reduction=True),
+}
+
+# placed before the default rules, so they win for the turns they match
+EXTRA_RULES = [
+    {"pattern": r"Assistant: [^\n]*\bcar\b[^\n]*\n\nIs the exchange", "response": "No."},
+    {"pattern": r"Assistant: [^\n]*\bdog\b[^\n]*\n\nReply KEEP or DROP",
+     "response": "DROP: about a dog"},
+]
+
+
+def golden_paths(case: str) -> dict[str, Path]:
+    paths = {"conversations": DATA_DIR / f"golden_{case}_conversations.jsonl"}
+    if CASES[case].bbox_conversion:
+        paths["trees"] = DATA_DIR / f"golden_{case}_trees.jsonl"
+    return paths
+
+
+def run_case(case: str, base: Path) -> dict[str, bytes]:
+    """Run the case's scripted pipeline under ``base``; returns its output bytes."""
+    features = CASES[case]
+    manifest = write_synthetic_manifest(
+        base / "fixture.jsonl", 8, seed=7, max_captions=2, max_boxes=4, max_qas=2
+    )
+    fixtures = base / "fixtures.jsonl"
+    fixtures.write_text(
+        "".join(json.dumps(rule) + "\n" for rule in EXTRA_RULES + default_pipeline_rules()),
+        encoding="utf-8",
+    )
+    plan_shards(manifest, 1, base / "shards")
+    cfg = PipelineConfig(
+        manifest_path=str(manifest),
+        output_dir=str(base / "out"),
+        prompts_dir=str(PROMPTS_DIR),
+        prompts_set="staged_min" if features.reduction else "direct_min",
+        shard_dir=str(base / "shards"),
+        rng_seed=123,
+        parallelism=2,
+        scripted_fixtures=str(fixtures),
+        gateway=GatewayConfig(mode="scripted", backoff_base_ms=1),
+        features=features,
+    )
+    run_pipeline(cfg, worker_id=f"golden-{case}")
+    return {
+        kind: (base / "out" / f"{kind}_shard_00000.jsonl").read_bytes()
+        for kind in golden_paths(case)
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_scripted_output_matches_golden(case, tmp_path):
+    outputs = run_case(case, tmp_path)
+    for kind, path in golden_paths(case).items():
+        assert outputs[kind] == path.read_bytes(), f"{case} {kind} differ from {path.name}"
+    assert outputs["conversations"].count(b"\n") > 0
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            for kind, data in run_case(name, Path(tmp)).items():
+                golden_paths(name)[kind].write_bytes(data)
+                print(f"{name} {kind}: {len(data.splitlines())} lines", file=sys.stderr)

@@ -182,6 +182,29 @@ class TestRunPipeline:
         assert len(ids) == len(set(ids)) == 8
         assert second["resumed"] == 3
 
+    def test_deposed_worker_stops_committing(self, tmp_path, monkeypatch):
+        from convogen import pipeline
+        from convogen.sharding import claim_shard
+
+        cfg = scripted_config(tmp_path, n=6)
+        shard_path = tmp_path / "shards" / "shard_00000.json"
+        real_write = pipeline.write_conversation
+        takeovers = []
+
+        def write_then_lose_claim(conv, out):
+            real_write(conv, out)
+            if not takeovers:
+                # a second worker judges the claim stale and takes the shard
+                takeovers.append(claim_shard(shard_path, "usurper", staleness_s=-1.0))
+
+        monkeypatch.setattr(pipeline, "write_conversation", write_then_lose_claim)
+        summary = run_pipeline(cfg, worker_id="w1")
+        lines = (tmp_path / "out" / "conversations_shard_00000.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        assert summary["conversations"] == 1
+        assert summary["lost_shards"] == [0]
+        assert takeovers[0].is_current()
+
     def test_missing_shards_is_config_error(self, tmp_path):
         from convogen.errors import ConfigError
 
