@@ -208,11 +208,11 @@ def load_bundle(
     for box in bundle.boxes:
         mask = box.mask_rle
         if mask is not None:
-            ok = False
             try:
+                parsed = rle.intervals(mask)  # one cached parse, reused by the scene tree
                 ok = (
-                    rle.grid_size(mask) == (image.width, image.height)
-                    and rle.foreground_area(mask) > 0
+                    (parsed.width, parsed.height) == (image.width, image.height)
+                    and parsed.area > 0
                 )
             except ValueError:
                 ok = False

@@ -162,6 +162,17 @@ def _read_done_ids(path: Path) -> set[str]:
     return done
 
 
+def _truncate_torn_tail(path: Path) -> None:
+    """Cut a final line left without its newline by a crash mid-append, so
+    the next append starts a fresh line instead of gluing onto it."""
+    if not path.exists():
+        return
+    with open(path, "rb+") as fh:
+        whole = sum(len(line) for line in fh if line.endswith(b"\n"))
+        if whole < fh.tell():
+            fh.truncate(whole)
+
+
 def _process_image(
     record: dict,
     key: str,
@@ -293,6 +304,8 @@ def process_shard(
         "lost": False,
     }
 
+    _truncate_torn_tail(conv_path)
+    _truncate_torn_tail(tree_path)
     pending: list[tuple[str, dict]] = []
     for key, record in records:
         conv_id = f"{key}-{image_seed(cfg.rng_seed, key)}"

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
-import numpy as np
-
 from . import rle
 from .metadata import Bbox, BoxAnnotation, ImageRef, clamp_box
 
@@ -144,12 +142,10 @@ def _bbox_intersection(a: Bbox, b: Bbox) -> float:
 def overlap_stats(a: SceneRegion, b: SceneRegion) -> OverlapStats:
     """Pairwise overlap; mask-based when both regions carry masks."""
     if a.mask_rle and b.mask_rle:
-        ma, mb = rle.decode(a.mask_rle), rle.decode(b.mask_rle)
-        if ma.shape != mb.shape:
-            raise ValueError("regions come from different image grids")
-        inter = float(np.logical_and(ma, mb).sum())
-        area_a = float(ma.sum())
-        area_b = float(mb.sum())
+        # raises ValueError when the masks come from different image grids
+        inter = float(rle.intersection_area(a.mask_rle, b.mask_rle))
+        area_a = float(rle.foreground_area(a.mask_rle))
+        area_b = float(rle.foreground_area(b.mask_rle))
     else:
         inter = _bbox_intersection(a.bbox, b.bbox)
         area_a = a.bbox[2] * a.bbox[3]
@@ -231,10 +227,7 @@ def _merge_component(regions: list[SceneRegion]) -> SceneRegion:
         return regions[0]
     mask = None
     if all(r.mask_rle for r in regions):
-        union = np.zeros_like(rle.decode(regions[0].mask_rle))
-        for r in regions:
-            union = np.logical_or(union, rle.decode(r.mask_rle))
-        mask = rle.encode(union)
+        mask = rle.union([r.mask_rle for r in regions])
     return SceneRegion(
         label=regions[0].label,
         bbox=_union_bbox(regions),

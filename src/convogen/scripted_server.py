@@ -251,7 +251,10 @@ class ScriptedLlmServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "ScriptedLlmServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # stop() waits up to one poll interval for serve_forever to notice
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
         return self
 

@@ -59,7 +59,11 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
     def test_unknown_config_key_exits_two(self, tmp_path):
+        # the shards exist, so the unknown key is all that is wrong here
+        from convogen.sharding import plan_shards
+
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        plan_shards(manifest, 1, tmp_path / "shards")
         path = write_config(tmp_path, manifest)
         data = json.loads(path.read_text())
         data["surprise"] = 1

@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import pytest
 
@@ -66,6 +67,16 @@ class TestScriptedServer:
             assert gw.chat(make_request("one")).content == "one"
             assert gw.chat(make_request("two")).content == "two"
         assert nodelay and all(nodelay)
+
+    def test_stop_on_idle_server_is_prompt(self):
+        # stop() waits for serve_forever's next poll; the default poll
+        # interval of 0.5 s was paid by almost every scripted run
+        server = ScriptedLlmServer(fixtures=[]).start()
+        time.sleep(0.1)
+        t0 = time.monotonic()
+        server.stop()
+        assert time.monotonic() - t0 < 0.25
+        assert not server._thread.is_alive()
 
     def test_unknown_digest_is_protocol_error(self):
         with ScriptedLlmServer(fixtures=[]) as server:

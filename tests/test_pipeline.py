@@ -182,6 +182,26 @@ class TestRunPipeline:
         assert len(ids) == len(set(ids)) == 8
         assert second["resumed"] == 3
 
+    def test_resume_cuts_torn_tail_and_regenerates_its_image(self, tmp_path):
+        cfg = scripted_config(tmp_path, n=8)
+        run_pipeline(cfg, worker_id="w1", stop_after=3)
+        cut_ids = {}
+        for name in ("conversations_shard_00000.jsonl", "trees_shard_00000.jsonl"):
+            path = tmp_path / "out" / name
+            data = path.read_bytes()
+            last = data.rstrip(b"\n").rfind(b"\n") + 1
+            cut_ids[name] = json.loads(data[last:])["id"]
+            # a crash in the middle of appending the third record
+            path.write_bytes(data[: last + (len(data) - last) // 2])
+        cfg2 = scripted_config(tmp_path, n=8, claim_staleness_s=0.0)
+        second = run_pipeline(cfg2, worker_id="w2")
+        assert second["resumed"] == 2
+        for name, cut_id in cut_ids.items():
+            lines = (tmp_path / "out" / name).read_text().splitlines()
+            ids = [json.loads(line)["id"] for line in lines]
+            assert len(ids) == len(set(ids)) == 8
+            assert cut_id in ids
+
     def test_deposed_worker_stops_committing(self, tmp_path, monkeypatch):
         from convogen import pipeline
         from convogen.sharding import claim_shard

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from convogen import rle
 
+from conftest import masks_on
+
 
 def test_round_trip_simple():
     mask = np.zeros((4, 5), dtype=bool)
@@ -45,3 +47,92 @@ def test_round_trip_random(width, height, seed):
     rng = np.random.default_rng(seed)
     mask = rng.random((height, width)) > 0.5
     assert np.array_equal(rle.decode(rle.encode(mask)), mask)
+
+
+# ------------------------------------------------- interval arithmetic
+
+grids = st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
+
+
+@st.composite
+def mask_sets(draw, max_masks=4):
+    width, height = draw(grids)
+    return draw(st.lists(masks_on(width, height), min_size=1, max_size=max_masks))
+
+
+@given(mask_sets(max_masks=2))
+def test_intersection_and_area_match_decode_oracle(masks):
+    a, b = masks[0], masks[-1]
+    ma, mb = rle.decode(a), rle.decode(b)
+    assert rle.intersection_area(a, b) == int(np.logical_and(ma, mb).sum())
+    assert rle.intersection_area(b, a) == rle.intersection_area(a, b)
+    assert rle.foreground_area(a) == int(ma.sum())
+    assert rle.grid_size(a) == (ma.shape[1], ma.shape[0])
+
+
+@given(mask_sets())
+def test_union_is_byte_identical_to_encode(masks):
+    union = np.logical_or.reduce([rle.decode(m) for m in masks])
+    assert rle.union(masks) == rle.encode(union)
+
+
+@pytest.mark.parametrize(
+    "mask, canonical",
+    [
+        ("3x2:0 2 0 0 4", "3x2:0 2 4"),   # leading foreground, zero-length inner runs
+        ("3x2:1 0 0 2 3 0", "3x2:1 2 3"),  # zero-length foreground, trailing 0 run
+        ("3x2:2 2 0 2", "3x2:2 4"),        # touching foreground runs join
+        ("3x2:6", "3x2:6"),                # all background
+        ("3x2:0 6", "3x2:0 6"),            # all foreground
+        ("3x2:0 0 6 0", "3x2:6"),
+    ],
+)
+def test_union_of_one_mask_is_canonical(mask, canonical):
+    assert rle.union([mask]) == canonical == rle.encode(rle.decode(mask))
+
+
+def test_all_background_and_all_foreground_intervals():
+    empty, full = "4x3:12", "4x3:0 12"
+    assert rle.foreground_area(empty) == 0
+    assert rle.foreground_area(full) == 12
+    assert rle.intersection_area(empty, full) == 0
+    assert rle.intersection_area(full, full) == 12
+    assert rle.union([empty, empty]) == empty
+    assert rle.union([empty, full]) == full
+
+
+def test_disjoint_extents_intersect_in_nothing():
+    top = rle.from_bbox((0, 0, 4, 1), 4, 4)
+    bottom = rle.from_bbox((0, 3, 4, 1), 4, 4)
+    assert rle.intersection_area(top, bottom) == 0
+    assert rle.union([bottom, top]) == "4x4:0 4 8 4"
+
+
+def test_different_grids_raise():
+    a, b = "4x3:2 5 5", "3x4:2 5 5"  # same pixel count, different grid
+    with pytest.raises(ValueError):
+        rle.intersection_area(a, b)
+    with pytest.raises(ValueError):
+        rle.union([a, b])
+
+
+def test_intervals_are_read_only():
+    iv = rle.intervals("4x3:2 5 5")
+    with pytest.raises(ValueError):
+        iv.ends[0] = 0
+
+
+@given(
+    grids,
+    st.tuples(*[st.floats(min_value=-6, max_value=18, allow_nan=False)] * 2),
+    st.tuples(*[st.floats(min_value=0, max_value=14, allow_nan=False)] * 2),
+)
+def test_from_bbox_matches_grid_oracle(grid, xy, wh):
+    width, height = grid
+    (x, y), (w, h) = xy, wh
+    x0, y0 = max(int(round(x)), 0), max(int(round(y)), 0)
+    x1, y1 = min(int(round(x + w)), width), min(int(round(y + h)), height)
+    mask = np.zeros((height, width), dtype=bool)
+    if x1 > x0 and y1 > y0:
+        mask[y0:y1, x0:x1] = True
+    assert rle.from_bbox((x, y, w, h), width, height) == rle.encode(mask)

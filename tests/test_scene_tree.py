@@ -4,12 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from convogen import rle
 from convogen.metadata import BoxAnnotation, ImageRef
 from convogen.scene_tree import (
     SceneRegion,
     SceneTreeParams,
+    _merge_component,
     build_scene_tree,
     build_tree,
     group_and_count,
@@ -22,7 +25,7 @@ from convogen.scene_tree import (
     serialize_tree,
 )
 
-from conftest import DATA_DIR, make_image
+from conftest import DATA_DIR, make_image, masks_on
 
 P = SceneTreeParams()
 
@@ -229,6 +232,53 @@ class TestOverlapStats:
         assert stats.iou == pytest.approx(iou)
         assert stats.containment == pytest.approx(containment)
         assert stats.center_dist_norm == pytest.approx(dist)
+
+
+@st.composite
+def masked_regions(draw, min_regions=1, max_regions=3):
+    """Regions on one grid whose masks (canonical or not) are drawn apart
+    from their boxes, so a mask may lie partly or wholly outside its bbox."""
+    width = draw(st.integers(min_value=1, max_value=12))
+    height = draw(st.integers(min_value=1, max_value=12))
+    out = []
+    for _ in range(draw(st.integers(min_value=min_regions, max_value=max_regions))):
+        mask = draw(masks_on(width, height))
+        assume(rle.foreground_area(mask) > 0)
+        x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        w, h = draw(st.integers(1, width)), draw(st.integers(1, height))
+        out.append(region("m", (x, y, w, h), mask=mask))
+    return out
+
+
+class TestMaskIntervals:
+    @given(masked_regions(max_regions=2))
+    def test_overlap_stats_match_decode_oracle(self, regions):
+        a, b = regions[0], regions[-1]
+        assert tuple(overlap_stats(a, b)) == oracle_stats(a, b)
+        assert tuple(overlap_stats(b, a)) == oracle_stats(b, a)
+
+    @given(masked_regions(min_regions=2))
+    def test_merged_mask_is_encode_of_the_union(self, regions):
+        merged = _merge_component(regions)
+        union = np.logical_or.reduce([rle.decode(r.mask_rle) for r in regions])
+        assert merged.mask_rle == rle.encode(union)
+        assert merged.area == int(union.sum())
+
+    def test_mask_outside_its_bbox_counts_by_pixels(self):
+        far = rle.from_bbox((6, 6, 2, 2), 8, 8)
+        a = region("m", (0, 0, 2, 2), mask=far)  # the mask lies outside the box
+        b = region("m", (6, 6, 2, 2), mask=far)
+        c = region("m", (0, 0, 2, 2), mask=rle.from_bbox((0, 0, 2, 2), 8, 8))
+        assert overlap_stats(a, b).iou == 1.0  # disjoint boxes, same pixels
+        assert overlap_stats(a, c).iou == 0.0  # same box, disjoint pixels
+
+    def test_different_grids_raise(self):
+        a = region("m", mask=rle.from_bbox((0, 0, 2, 2), 4, 6))
+        b = region("m", mask=rle.from_bbox((0, 0, 2, 2), 6, 4))
+        with pytest.raises(ValueError):
+            overlap_stats(a, b)
+        with pytest.raises(ValueError):
+            _merge_component([a, b])
 
 
 class TestMergeDuplicates:
