@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Subcommands: ingest, plan, run, tree (debug render), bench (efficiency
-table), validate (manifest linting). Exit codes: 0 success, 1 validation
-findings, 2 config error, 3 endpoint unreachable.
+Subcommands: ingest, plan, run, tree (debug render), validate (manifest
+linting). Exit codes: 0 success, 1 validation findings, 2 config error,
+3 endpoint unreachable.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from .bench import ROWS, format_table, run_bench
 from .config import FeatureFlags, load_config
 from .errors import ConfigError, LlmUnavailable, PipelineError
 from .ingestion import (
@@ -67,12 +66,7 @@ def _cmd_run(args) -> int:
     shard_filter = (
         {int(s) for s in args.shards.split(",")} if args.shards else None
     )
-    summary = run_pipeline(
-        cfg,
-        worker_id=args.worker_id,
-        stop_after=args.max_images,
-        shard_filter=shard_filter,
-    )
+    summary = run_pipeline(cfg, worker_id=args.worker_id, shard_filter=shard_filter)
     print(
         f"worker {summary['worker_id']}: {summary['conversations']} conversations "
         f"from {summary['images']} images in {summary['wall_s']}s "
@@ -101,28 +95,6 @@ def _cmd_tree(args) -> int:
             return EXIT_OK
     print("record not found", file=sys.stderr)
     return EXIT_CONFIG
-
-
-def _cmd_bench(args) -> int:
-    rows = ROWS
-    if args.rows:
-        wanted = {token.strip() for token in args.rows.split(",")}
-        rows = tuple(r for r in ROWS if r[0].strip("+") in wanted)
-        if not rows:
-            raise ConfigError(f"no bench rows match {args.rows!r}")
-    results = run_bench(
-        args.out,
-        args.prompts_dir,
-        images=args.images,
-        seed=args.seed,
-        rows=rows,
-        parallelism=args.parallelism,
-        latency_base_ms=args.latency_base_ms,
-        latency_per_char_ms=args.latency_per_char_ms,
-        sidecar_ms=args.sidecar_ms,
-    )
-    print(format_table(results))
-    return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
@@ -175,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default=None, help="e.g. filtering,bbox,reduction")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scripted-fixtures", default=None, help="fixture JSONL; forces scripted mode")
-    p.add_argument("--max-images", type=int, default=None)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("tree", help="print the ASCII scene tree for one record")
@@ -184,18 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-id", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_tree)
-
-    p = sub.add_parser("bench", help="feature-toggle efficiency table on synthetic data")
-    p.add_argument("--out", required=True, help="working directory")
-    p.add_argument("--prompts-dir", default="prompts")
-    p.add_argument("--images", type=int, default=500)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--rows", default=None, help="comma list: direct,filtering,bbox,reduction,full")
-    p.add_argument("--parallelism", type=int, default=16)
-    p.add_argument("--latency-base-ms", type=float, default=1.0)
-    p.add_argument("--latency-per-char-ms", type=float, default=0.5)
-    p.add_argument("--sidecar-ms", type=int, default=1500)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("validate", help="lint a unified manifest")
     p.add_argument("--manifest", required=True)

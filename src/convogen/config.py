@@ -51,7 +51,6 @@ class PipelineConfig:
     reduce_mode: str = "llm"              # "llm" | "lexical"
     heartbeat_s: float = 30.0
     claim_staleness_s: float = 300.0
-    simulated_sidecar_ms: int = 0         # benchmark stand-in for mask/depth models
     scripted_fixtures: Optional[str] = None
     scripted_latency_base_ms: float = 0.0
     scripted_latency_per_char_ms: float = 0.0

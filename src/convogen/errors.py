@@ -33,10 +33,6 @@ class GenerationFailed(PipelineError):
     """No parseable turn was obtained within the retry budget."""
 
 
-class VerdictUnparseable(PipelineError):
-    """A yes/no style verdict could not be extracted from a reply."""
-
-
 class EmptyDescription(PipelineError):
     """The model produced no usable sentences for a scene description."""
 

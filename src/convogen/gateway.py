@@ -104,15 +104,13 @@ def backoff_delays_s(base_ms: int, retries: int) -> list[float]:
 class LlmGateway:
     """Thread-safe client; at most ``max_in_flight`` requests outstanding."""
 
-    def __init__(self, cfg: GatewayConfig, session: Optional[requests.Session] = None):
+    def __init__(self, cfg: GatewayConfig):
         self.cfg = cfg
-        if session is None:
-            session = requests.Session()
-            adapter = requests.adapters.HTTPAdapter(
-                pool_connections=4, pool_maxsize=max(10, cfg.max_in_flight)
-            )
-            session.mount("http://", adapter)
-        self._session = session
+        self._session = requests.Session()
+        adapter = requests.adapters.HTTPAdapter(
+            pool_connections=4, pool_maxsize=max(10, cfg.max_in_flight)
+        )
+        self._session.mount("http://", adapter)
         self._sem = threading.BoundedSemaphore(cfg.max_in_flight)
         self._lock = threading.Lock()
         self._in_flight = 0

@@ -29,7 +29,7 @@ from .errors import (
     NoTurnsGenerated,
 )
 from .gateway import LlmGateway, probe_endpoint
-from .generation import Conversation, Turn, generate_conversation, generate_conversation_direct
+from .generation import Conversation, generate_conversation, generate_conversation_direct
 from .ingestion import load_bundle
 from .prompts import PromptDistribution, load_prompt_set
 from .scene_tree import build_scene_tree
@@ -67,38 +67,6 @@ def write_conversation(conv: Conversation, out: TextIO) -> None:
     """Append one JSON line and flush, so partial shards survive a crash."""
     out.write(json.dumps(conversation_record(conv), ensure_ascii=False) + "\n")
     out.flush()
-
-
-def conversation_from_record(record: dict) -> Conversation:
-    """Inverse of write_conversation (image geometry rides in provenance)."""
-    from .metadata import ImageRef
-
-    prov = dict(record["provenance"])
-    prov["id"] = record["id"]
-    ref = prov["image_ref"]
-    image = ImageRef(
-        dataset_id=ref["dataset"],
-        image_id=ref["image_id"],
-        uri=record["image"],
-        width=ref["width"],
-        height=ref["height"],
-    )
-    entries = record["conversations"]
-    turns = []
-    templates = prov.get("templates_used", [])
-    for i in range(0, len(entries), 2):
-        human = entries[i]["value"]
-        if i == 0 and human.startswith(IMAGE_TOKEN):
-            human = human[len(IMAGE_TOKEN):].lstrip("\n")
-        turns.append(
-            Turn(
-                human=human,
-                assistant=entries[i + 1]["value"],
-                template_id=templates[min(i // 2, len(templates) - 1)] if templates else "unknown",
-                iteration=i // 2,
-            )
-        )
-    return Conversation(image=image, turns=tuple(turns), provenance=prov)
 
 
 def validate_conversation_record(record: dict) -> list[str]:
@@ -173,6 +141,19 @@ def _truncate_torn_tail(path: Path) -> None:
             fh.truncate(whole)
 
 
+def _truncate_uncommitted_tree(path: Path, done_ids: set[str]) -> None:
+    """Cut a final tree line whose conversation was never appended: a crash
+    between a commit's two appends leaves one, and only one."""
+    if not path.exists():
+        return
+    with open(path, "rb+") as fh:
+        start, last = 0, b""
+        for line in fh:
+            start, last = start + len(last), line
+        if last and json.loads(last)["id"] not in done_ids:
+            fh.truncate(start)
+
+
 def _process_image(
     record: dict,
     key: str,
@@ -207,9 +188,6 @@ def _process_image(
     tree_text = ""
     t0 = time.monotonic()
     if cfg.features.bbox_conversion and bundle.boxes:
-        if cfg.simulated_sidecar_ms > 0:
-            # stands in for external mask/depth model cost in benchmarks
-            time.sleep(cfg.simulated_sidecar_ms / 1000.0)
         _, tree_text = build_scene_tree(list(bundle.boxes), bundle.image, cfg.scene)
     timings["tree"] = time.monotonic() - t0
 
@@ -266,15 +244,15 @@ def process_shard(
     dist: PromptDistribution,
     conv_prompts: ConversionPrompts,
     claim: ShardClaim,
-    stop_after: Optional[int] = None,
 ) -> dict:
     """Process one claimed shard; returns its stats.
 
     Every commit first checks that ``claim`` is still the shard's newest
     generation; once another worker has taken the shard over, nothing more
-    is written and the stats say ``lost``. ``stop_after`` aborts after that
-    many committed images without releasing the claim, simulating a crashed
-    worker for resume tests.
+    is written and the stats say ``lost``. A commit appends the image's tree
+    line and then its conversation line, so the conversation line is the
+    commit record: resume skips images with a conversation and cuts a
+    final tree line that has none.
     """
     shard = load_shard(shard_path)
     shard_id = shard["shard_id"]
@@ -300,12 +278,12 @@ def process_shard(
         "resumed": 0,
         "errors": 0,
         "stage_s": {stage: 0.0 for stage in STAGES},
-        "crashed": False,
         "lost": False,
     }
 
     _truncate_torn_tail(conv_path)
     _truncate_torn_tail(tree_path)
+    _truncate_uncommitted_tree(tree_path, done_ids)
     pending: list[tuple[str, dict]] = []
     for key, record in records:
         conv_id = f"{key}-{image_seed(cfg.rng_seed, key)}"
@@ -337,7 +315,6 @@ def process_shard(
                     stats["lost"] = True
                     break
                 t0 = time.monotonic()
-                write_conversation(conv, conv_out)
                 if tree_text is not None:
                     tree_out.write(
                         json.dumps(
@@ -347,12 +324,10 @@ def process_shard(
                         + "\n"
                     )
                     tree_out.flush()
+                write_conversation(conv, conv_out)
                 stats["stage_s"]["write"] += time.monotonic() - t0
                 stats["conversations"] += 1
                 stats["turns"] += len(conv.turns)
-                if stop_after is not None and stats["conversations"] >= stop_after:
-                    stats["crashed"] = True
-                    break
             for future in futures:
                 future.cancel()
     stats["errors"] = errors.count
@@ -362,7 +337,6 @@ def process_shard(
 def run_pipeline(
     cfg: PipelineConfig,
     worker_id: str = "worker-0",
-    stop_after: Optional[int] = None,
     shard_filter: Optional[set[int]] = None,
 ) -> dict:
     """Claim and process every available shard; returns summary metrics."""
@@ -421,9 +395,7 @@ def run_pipeline(
             heartbeat = HeartbeatThread(claim, cfg.heartbeat_s)
             heartbeat.start()
             try:
-                stats = process_shard(
-                    cfg, shard_path, gateway, dist, conv_prompts, claim, stop_after
-                )
+                stats = process_shard(cfg, shard_path, gateway, dist, conv_prompts, claim)
             finally:
                 heartbeat.stop()
             summary["shards"].append(stats["shard_id"])
@@ -434,10 +406,6 @@ def run_pipeline(
             summary["errors"] += stats["errors"]
             for stage in STAGES:
                 summary["stage_s"][stage] += stats["stage_s"][stage]
-            if stats["crashed"]:
-                # simulated crash: leave the claim in place and stop here
-                summary["crashed_shard"] = stats["shard_id"]
-                break
             if stats["lost"]:
                 # taken over by another worker; its claim is left alone
                 summary["lost_shards"].append(stats["shard_id"])

@@ -7,17 +7,18 @@ import random
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from convogen.config import FeatureFlags, PipelineConfig
 from convogen.context import ContextSet
-from convogen.bench import ROWS, format_table, run_bench
 from convogen.errors import AlreadyClaimed
 from convogen.gateway import GatewayConfig
 from convogen.generation import GenerationParams, stopping_criteria
 from convogen.generation import Conversation, Turn
+from convogen import pipeline
 from convogen.pipeline import (
     run_pipeline,
     validate_conversation_record,
@@ -34,6 +35,7 @@ from convogen.sharding import claim_shard, plan_shards
 from convogen.synth import write_synthetic_manifest
 
 from conftest import PROMPTS_DIR, make_image
+from killed_worker import KILL_POINTS, assert_same_as_clean, run_killed_worker
 from test_scene_tree import (
     oracle_parents,
     oracle_partition,
@@ -359,27 +361,63 @@ def test_retry_semantics_under_faults(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_efficiency_table_analogue(tmp_path):
-    started = time.monotonic()
-    rows = tuple(r for r in ROWS if r[0] in ("direct", "+reduction", "+bbox"))
-    results = run_bench(
-        tmp_path / "bench",
-        PROMPTS_DIR,
-        images=500,
-        seed=7,
-        rows=rows,
-        parallelism=16,
-        latency_base_ms=1.0,
-        latency_per_char_ms=1.0,
-        sidecar_ms=2000,
+FEATURE_ROWS = (
+    ("direct", FeatureFlags(False, False, False)),
+    ("+bbox", FeatureFlags(False, True, False)),
+    ("+reduction", FeatureFlags(False, False, True)),
+)
+
+
+def run_feature_rows(work_dir: Path, monkeypatch, sidecar_ms: int) -> dict[str, dict]:
+    """The efficiency table: one scripted run per row over 500 synthetic
+    images, returning each row's run summary. In the +bbox row every image
+    with boxes first waits ``sidecar_ms``, which stands in for the mask and
+    depth models a real run computes before building its scene tree."""
+    work_dir.mkdir(parents=True)
+    manifest = write_synthetic_manifest(
+        work_dir / "corpus.jsonl", 500, seed=7, max_captions=3, max_boxes=5, max_qas=3
     )
+    plan_shards(manifest, 1, work_dir / "shards")
+    real_build = pipeline.build_scene_tree
+
+    def build_after_sidecar(*args, **kwargs):
+        time.sleep(sidecar_ms / 1000.0)
+        return real_build(*args, **kwargs)
+
+    summaries = {}
+    for name, features in FEATURE_ROWS:
+        safe = name.strip("+")
+        cfg = PipelineConfig(
+            manifest_path=str(manifest),
+            output_dir=str(work_dir / f"out_{safe}"),
+            prompts_dir=str(PROMPTS_DIR),
+            prompts_set="staged_min" if features.reduction else "direct_min",
+            shard_dir=str(work_dir / "shards"),
+            rng_seed=7,
+            parallelism=16,
+            reduce_mode="llm",
+            scripted_latency_base_ms=1.0,
+            scripted_latency_per_char_ms=1.0,
+            generation=GenerationParams(),
+            gateway=GatewayConfig(mode="scripted", max_in_flight=16),
+            features=features,
+        )
+        with monkeypatch.context() as patch:
+            if features.bbox_conversion:
+                patch.setattr(pipeline, "build_scene_tree", build_after_sidecar)
+            # each row takes over the claim the previous row released
+            summaries[name] = run_pipeline(cfg, worker_id=f"bench-{safe}")
+    return summaries
+
+
+def test_efficiency_table_analogue(tmp_path, monkeypatch):
+    started = time.monotonic()
+    results = run_feature_rows(tmp_path / "bench", monkeypatch, sidecar_ms=2000)
     elapsed = time.monotonic() - started
-    print(format_table(results), flush=True)
-    by_name = {r["variant"]: r for r in results}
-    direct = by_name["direct"]["time_s"]
-    reduction = by_name["+reduction"]["time_s"]
-    bbox = by_name["+bbox"]["time_s"]
-    assert all(r["images"] == 500 for r in results)
+    direct = results["direct"]["wall_s"]
+    reduction = results["+reduction"]["wall_s"]
+    bbox = results["+bbox"]["wall_s"]
+    assert all(r["images"] == 500 for r in results.values())
     assert reduction <= 1.10 * direct, f"reduction {reduction}s vs direct {direct}s"
     assert bbox >= 3.0 * direct, f"bbox {bbox}s vs direct {direct}s"
     assert elapsed < 600.0, f"bench took {elapsed:.0f}s"
@@ -429,27 +467,21 @@ def test_distributed_claims_and_crash_resume(tmp_path):
     run_pipeline(scripted_cfg(ref_dir, manifest, features), worker_id="ref")
     ref_lines = (ref_dir / "out" / "conversations_shard_00000.jsonl").read_text().splitlines()
 
-    # kill after 5 committed images, then resume with a different worker
-    crash_dir = tmp_path / "crash"
-    plan_shards(manifest, 1, crash_dir / "shards")
-    first = run_pipeline(
-        scripted_cfg(crash_dir, manifest, features), worker_id="victim", stop_after=5
-    )
-    assert first.get("crashed_shard") == 0
-    resumed = run_pipeline(
-        scripted_cfg(crash_dir, manifest, features, claim_staleness_s=0.0),
-        worker_id="rescuer",
-    )
-    assert resumed["resumed"] == 5
-    lines = (crash_dir / "out" / "conversations_shard_00000.jsonl").read_text().splitlines()
-    ids = [json.loads(line)["id"] for line in lines]
-    assert len(ids) == len(set(ids)), "duplicate conversation ids after resume"
-    assert ids == [json.loads(line)["id"] for line in ref_lines]
-    assert lines == ref_lines  # resume reproduces the uninterrupted run exactly
+    # kill -9 around the sixth commit, then resume with a different worker
+    for when in KILL_POINTS:
+        crash_dir = tmp_path / when
+        plan_shards(manifest, 1, crash_dir / "shards")
+        crash_cfg = scripted_cfg(crash_dir, manifest, features)
+        run_killed_worker(crash_cfg, commits=5, when=when)
+        resumed = run_pipeline(replace(crash_cfg, claim_staleness_s=0.0), worker_id="rescuer")
+        assert resumed["resumed"] == (5 if when == "before" else 6)
+        # resume reproduces the uninterrupted run exactly, trees included
+        ids, _ = assert_same_as_clean(crash_dir / "out", ref_dir / "out")
+        assert ids == [json.loads(line)["id"] for line in ref_lines]
     report(
         "claim-safety",
-        f"{rounds} races x 8 workers, one winner each; kill-and-resume yielded "
-        f"{len(ids)} unique ids matching the clean run",
+        f"{rounds} races x 8 workers, one winner each; kill -9 before and after "
+        f"a commit, then resume, yielded {len(ids)} unique ids matching the clean run",
     )
 
 

@@ -70,17 +70,20 @@ class TestRun:
         path.write_text(json.dumps(data))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("key", ["registry_path", "id_map_path", "shard_count"])
+    @pytest.mark.parametrize(
+        "key", ["registry_path", "id_map_path", "shard_count", "simulated_sidecar_ms"]
+    )
     def test_removed_config_keys_exit_two(self, tmp_path, key):
         # registry, id map and shard count belong to ingest and plan, not
-        # run; the shards exist, so the key is all that is wrong here
+        # run, and the pipeline has no sidecar stand-in; the shards exist,
+        # so the key is all that is wrong here
         from convogen.sharding import plan_shards
 
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
         plan_shards(manifest, 1, tmp_path / "shards")
         path = write_config(tmp_path, manifest)
         data = json.loads(path.read_text())
-        data[key] = 1 if key == "shard_count" else str(manifest)
+        data[key] = str(manifest) if key.endswith("_path") else 1
         path.write_text(json.dumps(data))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
@@ -147,19 +150,3 @@ class TestIngest:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 1
         assert len(records[0]["captions"]) == 3  # 2 fixture + 1 other
-
-
-class TestBench:
-    def test_tiny_bench_row(self, tmp_path, capsys):
-        code = main(
-            [
-                "bench", "--out", str(tmp_path / "bench"),
-                "--prompts-dir", str(PROMPTS_DIR),
-                "--images", "4", "--rows", "direct", "--parallelism", "4",
-                "--latency-base-ms", "0", "--latency-per-char-ms", "0",
-                "--sidecar-ms", "0",
-            ]
-        )
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "direct" in out and "conv/hour" in out

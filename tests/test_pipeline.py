@@ -1,5 +1,6 @@
 import json
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,6 @@ from convogen.gateway import GatewayConfig
 from convogen.generation import Conversation, Turn
 from convogen.metadata import record_line
 from convogen.pipeline import (
-    conversation_from_record,
     conversation_record,
     run_pipeline,
     validate_conversation_record,
@@ -19,6 +19,7 @@ from convogen.pipeline import (
 from convogen.sharding import plan_shards
 
 from conftest import PROMPTS_DIR, make_image
+from killed_worker import KILL_POINTS, assert_same_as_clean, run_killed_worker
 
 
 def rich_record(i: int) -> dict:
@@ -53,6 +54,7 @@ def write_fixture_manifest(path: Path, n: int) -> Path:
 
 
 def scripted_config(tmp_path, n=10, features=None, **overrides) -> PipelineConfig:
+    tmp_path.mkdir(parents=True, exist_ok=True)
     manifest = write_fixture_manifest(tmp_path / "manifest.jsonl", n)
     plan_shards(manifest, overrides.pop("shards", 1), tmp_path / "shards")
     features = features or FeatureFlags(filtering=True, bbox_conversion=True, reduction=True)
@@ -103,12 +105,8 @@ class TestWriter:
         path = tmp_path / "out.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
             write_conversation(conv, fh)
-        record = json.loads(path.read_text())
-        again = conversation_from_record(record)
-        assert [(t.human, t.assistant) for t in again.turns] == [
-            (t.human, t.assistant) for t in conv.turns
-        ]
-        assert again.image == conv.image
+        assert path.read_text().endswith("\n")
+        assert json.loads(path.read_text()) == conversation_record(conv)
 
     def test_validator_flags_problems(self):
         record = conversation_record(sample_conversation(1))
@@ -171,36 +169,38 @@ class TestRunPipeline:
         assert "center=" in json.loads(trees[0])["tree"]
 
     def test_resume_skips_done_images(self, tmp_path):
-        cfg = scripted_config(tmp_path, n=8)
-        first = run_pipeline(cfg, worker_id="w1", stop_after=3)
-        assert first.get("crashed_shard") == 0
-        # resume with staleness 0 so the abandoned claim is taken over
-        cfg2 = scripted_config(tmp_path, n=8, claim_staleness_s=0.0)
-        second = run_pipeline(cfg2, worker_id="w2")
-        out = (tmp_path / "out" / "conversations_shard_00000.jsonl").read_text().splitlines()
-        ids = [json.loads(line)["id"] for line in out]
-        assert len(ids) == len(set(ids)) == 8
-        assert second["resumed"] == 3
+        clean = scripted_config(tmp_path / "clean", n=8)
+        run_pipeline(clean, worker_id="clean")
+        for when in KILL_POINTS:
+            cfg = scripted_config(tmp_path / when, n=8)
+            run_killed_worker(cfg, commits=3, when=when)
+            # resume with staleness 0 so the dead worker's claim is taken over
+            second = run_pipeline(replace(cfg, claim_staleness_s=0.0), worker_id="w2")
+            assert second["resumed"] == (3 if when == "before" else 4)
+            ids, tree_ids = assert_same_as_clean(Path(cfg.output_dir), Path(clean.output_dir))
+            assert len(ids) == 8
+            assert tree_ids == ids
 
     def test_resume_cuts_torn_tail_and_regenerates_its_image(self, tmp_path):
-        cfg = scripted_config(tmp_path, n=8)
-        run_pipeline(cfg, worker_id="w1", stop_after=3)
-        cut_ids = {}
-        for name in ("conversations_shard_00000.jsonl", "trees_shard_00000.jsonl"):
-            path = tmp_path / "out" / name
-            data = path.read_bytes()
-            last = data.rstrip(b"\n").rfind(b"\n") + 1
-            cut_ids[name] = json.loads(data[last:])["id"]
-            # a crash in the middle of appending the third record
-            path.write_bytes(data[: last + (len(data) - last) // 2])
-        cfg2 = scripted_config(tmp_path, n=8, claim_staleness_s=0.0)
-        second = run_pipeline(cfg2, worker_id="w2")
-        assert second["resumed"] == 2
-        for name, cut_id in cut_ids.items():
-            lines = (tmp_path / "out" / name).read_text().splitlines()
-            ids = [json.loads(line)["id"] for line in lines]
-            assert len(ids) == len(set(ids)) == 8
-            assert cut_id in ids
+        clean = scripted_config(tmp_path / "clean", n=8)
+        run_pipeline(clean, worker_id="clean")
+        for when in KILL_POINTS:
+            cfg = scripted_config(tmp_path / when, n=8)
+            run_killed_worker(cfg, commits=3, when=when)
+            cut_ids = {}
+            for name in ("conversations_shard_00000.jsonl", "trees_shard_00000.jsonl"):
+                path = Path(cfg.output_dir) / name
+                data = path.read_bytes()
+                last = data.rstrip(b"\n").rfind(b"\n") + 1
+                cut_ids[name] = json.loads(data[last:])["id"]
+                # a crash in the middle of appending the final record
+                path.write_bytes(data[: last + (len(data) - last) // 2])
+            second = run_pipeline(replace(cfg, claim_staleness_s=0.0), worker_id="w2")
+            assert second["resumed"] == (2 if when == "before" else 3)
+            ids, tree_ids = assert_same_as_clean(Path(cfg.output_dir), Path(clean.output_dir))
+            assert len(ids) == 8
+            assert tree_ids == ids
+            assert set(cut_ids.values()) <= set(ids)
 
     def test_deposed_worker_stops_committing(self, tmp_path, monkeypatch):
         from convogen import pipeline
