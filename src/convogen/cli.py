@@ -2,7 +2,8 @@
 
 Subcommands: ingest, plan, run, tree (debug render), validate (manifest
 linting). Exit codes: 0 success, 1 validation findings, 2 config error,
-3 endpoint unreachable.
+3 endpoint unreachable, 4 runtime error (including a run that processed
+images but committed no conversation).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_CONFIG = 2
 EXIT_ENDPOINT = 3
+EXIT_RUNTIME = 4
 
 
 def _cmd_ingest(args) -> int:
@@ -48,9 +50,15 @@ def _cmd_ingest(args) -> int:
 def _cmd_plan(args) -> int:
     registry = DatasetRegistry.from_config(args.registry) if args.registry else None
     id_map = load_id_map(args.id_map) if args.id_map else None
-    paths = plan_shards(args.manifest, args.shards, args.out_dir, registry, id_map)
+    skipped: list[dict] = []
+    paths = plan_shards(
+        args.manifest, args.shards, args.out_dir, registry, id_map, skipped.append
+    )
     total = sum(len(json.loads(p.read_text())["offsets"]) for p in paths)
     print(f"planned {len(paths)} shards over {total} records in {args.out_dir}")
+    if skipped:
+        lines = ", ".join(str(s["line"]) for s in skipped)
+        print(f"skipped {len(skipped)} unparseable lines: {lines}")
     return EXIT_OK
 
 
@@ -72,6 +80,14 @@ def _cmd_run(args) -> int:
         f"from {summary['images']} images in {summary['wall_s']}s "
         f"({summary['conversations_per_hour']}/hour), {summary['errors']} errors"
     )
+    if summary["images"] and not summary["conversations"]:
+        # every image failed or was skipped: a systematic fault, not a success
+        print(
+            f"runtime error: no conversation from {summary['images']} images; "
+            f"see {cfg.output_dir}/errors.jsonl",
+            file=sys.stderr,
+        )
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -176,8 +192,8 @@ def main(argv=None) -> int:
         print(f"endpoint unreachable: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
     except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

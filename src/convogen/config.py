@@ -44,7 +44,6 @@ class PipelineConfig:
     output_dir: str = "out"
     prompts_dir: str = "prompts"
     prompts_set: str = "default"
-    conversion_prompts_dir: Optional[str] = None
     shard_dir: Optional[str] = None       # default: <output_dir>/shards
     rng_seed: int = 0
     parallelism: int = 4
@@ -111,7 +110,7 @@ def load_config(path: str | Path, check_paths: bool = True) -> PipelineConfig:
     cfg = config_from_dict(data)
     if check_paths:
         required = [cfg.manifest_path, str(Path(cfg.prompts_dir) / cfg.prompts_set)]
-        required += [ref for ref in (cfg.scripted_fixtures, cfg.conversion_prompts_dir) if ref]
+        required += [cfg.scripted_fixtures] if cfg.scripted_fixtures else []
         for ref in required:
             if not ref or not Path(ref).exists():
                 raise ConfigError(f"referenced path does not exist: {ref!r}")

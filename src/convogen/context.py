@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .errors import EmptyDescription
@@ -86,24 +85,6 @@ class ContextSet:
         return "\n".join(f"{i}. {s.text}" for i, s in enumerate(self.sentences, 1))
 
 
-@dataclass(frozen=True)
-class ConversionPrompts:
-    qa_batch: str = QA_BATCH_PROMPT
-    qa_single: str = QA_SINGLE_PROMPT
-    tree: str = TREE_PROMPT
-
-    @classmethod
-    def from_dir(cls, path: str | Path) -> "ConversionPrompts":
-        """Override defaults with qa_batch.txt / qa_single.txt / tree.txt files."""
-        base = Path(path)
-        kwargs = {}
-        for name in ("qa_batch", "qa_single", "tree"):
-            candidate = base / f"{name}.txt"
-            if candidate.exists():
-                kwargs[name] = candidate.read_text(encoding="utf-8")
-        return cls(**kwargs)
-
-
 def split_sentences(text: str) -> list[str]:
     parts: list[str] = []
     for chunk in text.splitlines():
@@ -122,18 +103,13 @@ def _parse_numbered(reply: str, expected: int) -> Optional[list[str]]:
     return None
 
 
-def qa_to_statement(
-    qa: QAAnnotation,
-    llm,
-    conv_prompts: ConversionPrompts = ConversionPrompts(),
-    max_attempts: int = 3,
-) -> ContextSentence:
+def qa_to_statement(qa: QAAnnotation, llm, max_attempts: int = 3) -> ContextSentence:
     """Turn one QA pair into a declarative statement.
 
     Malformed (empty) model output is retried up to ``max_attempts``; after
     that the deterministic template keeps the metadata from being lost.
     """
-    prompt = conv_prompts.qa_single.format(question=qa.question, answer=qa.answer)
+    prompt = QA_SINGLE_PROMPT.format(question=qa.question, answer=qa.answer)
     for _ in range(max_attempts):
         reply = llm.complete(prompt, stage="qa_conversion")
         line = " ".join(reply.split())
@@ -144,20 +120,17 @@ def qa_to_statement(
 
 
 def qas_to_statements(
-    qas: Sequence[QAAnnotation],
-    llm,
-    conv_prompts: ConversionPrompts = ConversionPrompts(),
-    max_attempts: int = 3,
+    qas: Sequence[QAAnnotation], llm, max_attempts: int = 3
 ) -> list[ContextSentence]:
     """Batch conversion with one numbered call; degrades to per-item calls."""
     if not qas:
         return []
     if len(qas) == 1:
-        return [qa_to_statement(qas[0], llm, conv_prompts, max_attempts)]
+        return [qa_to_statement(qas[0], llm, max_attempts)]
     pairs = "\n".join(
         f"{i}. Q: {qa.question} A: {qa.answer}" for i, qa in enumerate(qas, 1)
     )
-    prompt = conv_prompts.qa_batch.format(pairs=pairs)
+    prompt = QA_BATCH_PROMPT.format(pairs=pairs)
     for _ in range(max_attempts):
         reply = llm.complete(prompt, stage="qa_conversion")
         statements = _parse_numbered(reply, len(qas))
@@ -166,20 +139,16 @@ def qas_to_statements(
                 make_sentence(text, ORIGIN_QA, qa.source)
                 for text, qa in zip(statements, qas)
             ]
-    return [qa_to_statement(qa, llm, conv_prompts, max_attempts) for qa in qas]
+    return [qa_to_statement(qa, llm, max_attempts) for qa in qas]
 
 
 def tree_to_description(
-    ascii_tree: str,
-    llm,
-    conv_prompts: ConversionPrompts = ConversionPrompts(),
-    source: str = "tree",
-    max_attempts: int = 3,
+    ascii_tree: str, llm, source: str = "tree", max_attempts: int = 3
 ) -> list[ContextSentence]:
     """Describe a serialized scene tree as individual factual sentences."""
     if not ascii_tree.strip():
         return []
-    prompt = conv_prompts.tree.format(tree=ascii_tree)
+    prompt = TREE_PROMPT.format(tree=ascii_tree)
     for _ in range(max_attempts):
         reply = llm.complete(prompt, stage="tree_conversion")
         sentences = split_sentences(reply)
@@ -206,7 +175,6 @@ def assemble_context(
     bundle: MetadataBundle,
     tree_text: str,
     llm,
-    conv_prompts: ConversionPrompts = ConversionPrompts(),
     plain_box_sentences: Optional[Sequence[str]] = None,
     max_attempts: int = 3,
 ) -> ContextSet:
@@ -222,13 +190,11 @@ def assemble_context(
     box_sources = ",".join(sorted({b.source for b in bundle.boxes})) or "tree"
     if tree_text.strip():
         sentences.extend(
-            tree_to_description(
-                tree_text, llm, conv_prompts, source=box_sources, max_attempts=max_attempts
-            )
+            tree_to_description(tree_text, llm, source=box_sources, max_attempts=max_attempts)
         )
     elif plain_box_sentences:
         sentences.extend(
             make_sentence(s, ORIGIN_TREE, box_sources) for s in plain_box_sentences
         )
-    sentences.extend(qas_to_statements(bundle.qas, llm, conv_prompts, max_attempts))
+    sentences.extend(qas_to_statements(bundle.qas, llm, max_attempts))
     return ContextSet.build(bundle.image, sentences)

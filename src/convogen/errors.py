@@ -17,7 +17,11 @@ class DegenerateBox(PipelineError):
     """A box has no area left after clamping to the image."""
 
 
-class DuplicateDataset(PipelineError):
+class ConfigError(PipelineError):
+    """The pipeline configuration is missing or invalid."""
+
+
+class DuplicateDataset(ConfigError):
     """A dataset id is already registered with a different descriptor."""
 
 
@@ -41,8 +45,8 @@ class NoCompatibleTemplate(PipelineError):
     """No template in the distribution is compatible with the context."""
 
 
-class UnresolvedPlaceholder(PipelineError):
-    """A template placeholder survived rendering."""
+class UnresolvedPlaceholder(ConfigError):
+    """A template names a placeholder that rendering has no value for."""
 
 
 class NoTurnsGenerated(PipelineError):
@@ -51,7 +55,3 @@ class NoTurnsGenerated(PipelineError):
 
 class AlreadyClaimed(PipelineError):
     """Another worker holds a fresh claim on the shard."""
-
-
-class ConfigError(PipelineError):
-    """The pipeline configuration is missing or invalid."""

@@ -8,6 +8,7 @@ deterministic exponential backoff. Usage is accounted per pipeline stage.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import threading
 import time
@@ -147,20 +148,18 @@ class LlmGateway:
             }
 
     def _parse(self, body: bytes) -> tuple[str, Usage]:
-        import json
-
         try:
             data = json.loads(body)
             content = data["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError("content is not a string")
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            usage = data.get("usage") or {}
+            return content, Usage(
+                prompt_tokens=int(usage.get("prompt_tokens", 0)),
+                completion_tokens=int(usage.get("completion_tokens", 0)),
+            )
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProtocolError(f"malformed chat-completion body: {exc}") from exc
-        usage = data.get("usage") or {}
-        return content, Usage(
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-        )
 
     def chat(self, req: ChatRequest, stage: str = "default") -> ChatResponse:
         cfg = self.cfg

@@ -74,7 +74,6 @@ class GenerationParams:
     r_t: float = 0.85        # reduction threshold
     l_min: int = 100         # minimum information length, characters
     max_retries: int = 3
-    quality_filter: bool = False
     max_turns: int = 12      # hard cap so a non-covering model cannot loop
 
     def __post_init__(self):
@@ -230,10 +229,12 @@ def quality_filter(
     return parse_keep_drop(reply) is not False, reply.strip()
 
 
-def _passes_filter(turn: Turn, S: ContextSet, llm, p: GenerationParams, prov: dict) -> bool:
-    """Apply the quality filter when enabled; a dropped turn is recorded
-    in the provenance under its iteration."""
-    if not p.quality_filter:
+def _passes_filter(
+    turn: Turn, S: ContextSet, llm, p: GenerationParams, prov: dict, filtering: bool
+) -> bool:
+    """Apply the quality filter when ``filtering`` is on; a dropped turn is
+    recorded in the provenance under its iteration."""
+    if not filtering:
         return True
     kept, verdict = quality_filter(turn, S, llm, p)
     if not kept:
@@ -262,6 +263,7 @@ def generate_conversation(
     llm,
     rng_seed: int,
     reduce_mode: str = "llm",
+    filtering: bool = False,
 ) -> Conversation:
     """Run the staged loop: sample, generate, verify, append, reduce.
 
@@ -269,6 +271,7 @@ def generate_conversation(
     max_retries, then one differently-sampled template is tried before the
     iteration is abandoned. Terminates by the stopping criteria or the
     max_turns cap; deterministic given the seed and a deterministic model.
+    ``filtering`` turns the quality filter on.
     """
     rng = random.Random(rng_seed)
     prov = _fresh_provenance(S)
@@ -312,7 +315,7 @@ def generate_conversation(
             continue
         prov["templates_used"].append(turn.template_id)
         prov["turn_attempts"].append(attempts_this_turn)
-        if _passes_filter(turn, S, llm, p, prov):
+        if _passes_filter(turn, S, llm, p, prov, filtering):
             turns.append(turn)
         # covered information is consumed even when the filter dropped the
         # turn, otherwise a deterministic model would regenerate it forever
@@ -333,9 +336,11 @@ def generate_conversation_direct(
     p: GenerationParams,
     llm,
     rng_seed: int,
+    filtering: bool = False,
 ) -> Conversation:
     """One-shot mode used when reduction is disabled: a single generation
-    call is parsed into up to max_turns verified turns."""
+    call is parsed into up to max_turns verified turns (and, with
+    ``filtering``, filtered ones)."""
     rng = random.Random(rng_seed)
     prov = _fresh_provenance(S)
     template = sample_template(dist, S, rng)
@@ -351,7 +356,7 @@ def generate_conversation_direct(
     turns: list[Turn] = []
     for i, (human, assistant) in enumerate(pairs[: p.max_turns]):
         turn = Turn(human, assistant, template.template_id, i)
-        if verify_turn(turn, S, llm, p) and _passes_filter(turn, S, llm, p, prov):
+        if verify_turn(turn, S, llm, p) and _passes_filter(turn, S, llm, p, prov, filtering):
             turns.append(turn)
     prov["iterations"] = 1
     prov["turn_attempts"] = [attempts]

@@ -125,19 +125,30 @@ def link_key(
     namespace: str,
     id_map: Optional[dict[tuple[str, str], str]] = None,
 ) -> LinkKey:
-    """Derive the canonical cross-dataset key for an image.
+    """Derive the canonical cross-dataset key for an image."""
+    return link_key_of(image.dataset_id, image.image_id, image.uri, namespace, id_map)
+
+
+def link_key_of(
+    dataset_id: str,
+    image_id: str,
+    uri: str,
+    namespace: str,
+    id_map: Optional[dict[tuple[str, str], str]] = None,
+) -> LinkKey:
+    """The link key from the three image fields it is made of.
 
     Priority: explicit id-map entry, then the namespace convention. The
     "file-stem" namespace uses the lowercase file stem of the uri; any
     other namespace treats the dataset-provided image_id as canonical.
     """
     if id_map:
-        mapped = id_map.get((image.dataset_id, image.image_id))
+        mapped = id_map.get((dataset_id, image_id))
         if mapped:
             return LinkKey(namespace, mapped.strip().lower())
     if namespace == FILE_STEM:
-        return LinkKey(namespace, canonical_image_stem(image.uri))
-    return LinkKey(namespace, image.image_id.strip().lower())
+        return LinkKey(namespace, canonical_image_stem(uri))
+    return LinkKey(namespace, image_id.strip().lower())
 
 
 def load_id_map(path: str | Path) -> dict[tuple[str, str], str]:
@@ -250,7 +261,9 @@ def load_bundle(
 def load_manifest(path: str | Path, on_warning: WarnFn = None) -> Iterator[MetadataBundle]:
     """Stream bundles from a unified JSONL manifest, skipping bad lines.
 
-    Relative sidecar paths resolve against the manifest's directory.
+    Whatever a line raises makes it that line's warning, never the
+    stream's end. Relative sidecar paths resolve against the manifest's
+    directory.
     """
     base_dir = Path(path).resolve().parent
     with open(path, encoding="utf-8") as fh:
@@ -258,11 +271,12 @@ def load_manifest(path: str | Path, on_warning: WarnFn = None) -> Iterator[Metad
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                yield load_bundle(record, on_warning, base_dir=base_dir)
-            except (ValueError, KeyError) as exc:
+                bundle = load_bundle(json.loads(line), on_warning, base_dir=base_dir)
+            except Exception as exc:
                 if on_warning:
-                    on_warning({"line": lineno, "reason": f"unparseable record: {exc}"})
+                    on_warning({"line": lineno, "reason": f"unparseable record: {exc!r}"})
+                continue
+            yield bundle
 
 
 def _spill_run(run: list[tuple[tuple[str, str], MetadataBundle]], tmp_dir: str) -> Path:

@@ -19,15 +19,8 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from .config import PipelineConfig
-from .context import ConversionPrompts, assemble_context, boxes_to_plain_sentences
-from .errors import (
-    AlreadyClaimed,
-    ConfigError,
-    EmptyDescription,
-    GenerationFailed,
-    LlmUnavailable,
-    NoTurnsGenerated,
-)
+from .context import assemble_context, boxes_to_plain_sentences
+from .errors import AlreadyClaimed, ConfigError, LlmUnavailable
 from .gateway import LlmGateway, probe_endpoint
 from .generation import Conversation, generate_conversation, generate_conversation_direct
 from .ingestion import load_bundle
@@ -97,24 +90,26 @@ def validate_conversation_record(record: dict) -> list[str]:
 
 
 class _ErrorLog:
-    """Append-only JSONL error sink shared by a worker's threads."""
+    """Append-only JSONL sink of one shard's image rows, shared by the
+    worker's threads. A failure row names the exception class under
+    ``error``; skip and ingest-warning rows have no ``error``."""
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, shard: int, worker: str):
         self.path = path
+        self.shard = shard
+        self.worker = worker
         self._lock = threading.Lock()
         self.count = 0
 
-    def write(self, image_id: str, stage: str, reason: str) -> None:
+    def write(self, image_id: str, stage: str, reason: str, error: Optional[str] = None) -> None:
+        row = {"image_id": image_id, "shard": self.shard, "worker": self.worker, "stage": stage}
+        if error is not None:
+            row["error"] = error
+        row["reason"] = reason
         with self._lock:
             self.count += 1
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {"image_id": image_id, "stage": stage, "reason": reason},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def _read_done_ids(path: Path) -> set[str]:
@@ -160,81 +155,78 @@ def _process_image(
     cfg: PipelineConfig,
     dist: PromptDistribution,
     gateway: LlmGateway,
-    conv_prompts: ConversionPrompts,
     errors: _ErrorLog,
     base_dir: Optional[Path] = None,
 ) -> tuple[Optional[Conversation], Optional[str], dict]:
     """Run one image through the enabled stages.
 
     Returns (conversation, ascii tree, stage timings); conversation is None
-    when the image was skipped (reason already logged).
+    when the image was skipped or failed, with its row already logged. This
+    is the image's one failure boundary: whatever a bad record or a bad
+    model reply raises becomes a row naming the stage and the exception
+    class, and costs this image only.
     """
-    timings = {}
+    timings: dict[str, float] = {}
     image_id = str(record.get("image_id", "?"))
-    t0 = time.monotonic()
-    warnings: list[dict] = []
+    stage, t0 = "ingest", time.monotonic()
     try:
+        warnings: list[dict] = []
         bundle = load_bundle(record, warnings.append, base_dir=base_dir)
-    except (ValueError, KeyError) as exc:
-        errors.write(image_id, "ingest", f"bad record: {exc}")
-        return None, None, timings
-    for warning in warnings:
-        errors.write(image_id, "ingest", warning.get("reason", "warning"))
-    timings["ingest"] = time.monotonic() - t0
-    if not bundle.is_admissible:
-        errors.write(image_id, "ingest", "bundle has no annotations")
-        return None, None, timings
+        for warning in warnings:
+            errors.write(image_id, "ingest", warning.get("reason", "warning"))
+        timings["ingest"] = time.monotonic() - t0
+        if not bundle.is_admissible:
+            errors.write(image_id, "ingest", "bundle has no annotations")
+            return None, None, timings
 
-    tree_text = ""
-    t0 = time.monotonic()
-    if cfg.features.bbox_conversion and bundle.boxes:
-        _, tree_text = build_scene_tree(list(bundle.boxes), bundle.image, cfg.scene)
-    timings["tree"] = time.monotonic() - t0
+        stage, t0 = "tree", time.monotonic()
+        tree_text = ""
+        if cfg.features.bbox_conversion and bundle.boxes:
+            _, tree_text = build_scene_tree(list(bundle.boxes), bundle.image, cfg.scene)
+        timings["tree"] = time.monotonic() - t0
 
-    t0 = time.monotonic()
-    plain = None
-    if not cfg.features.bbox_conversion and bundle.boxes:
-        plain = boxes_to_plain_sentences(bundle.boxes)
-    try:
+        stage, t0 = "context", time.monotonic()
+        plain = None
+        if not cfg.features.bbox_conversion and bundle.boxes:
+            plain = boxes_to_plain_sentences(bundle.boxes)
         ctx = assemble_context(
             bundle,
             tree_text,
             gateway,
-            conv_prompts=conv_prompts,
             plain_box_sentences=plain,
             max_attempts=cfg.generation.max_retries,
         )
-    except (LlmUnavailable, EmptyDescription) as exc:
-        errors.write(image_id, "context", str(exc))
-        return None, None, timings
-    timings["context"] = time.monotonic() - t0
-    if not ctx.sentences:
-        errors.write(image_id, "context", "empty context")
-        return None, None, timings
+        timings["context"] = time.monotonic() - t0
+        if not ctx.sentences:
+            errors.write(image_id, "context", "empty context")
+            return None, None, timings
 
-    t0 = time.monotonic()
-    params = replace(cfg.generation, quality_filter=cfg.features.filtering)
-    seed = image_seed(cfg.rng_seed, key)
-    try:
+        stage, t0 = "generate", time.monotonic()
+        seed = image_seed(cfg.rng_seed, key)
+        filtering = cfg.features.filtering
         if cfg.features.reduction:
             conv = generate_conversation(
-                ctx, dist, params, gateway, seed, reduce_mode=cfg.reduce_mode
+                ctx, dist, cfg.generation, gateway, seed,
+                reduce_mode=cfg.reduce_mode, filtering=filtering,
             )
         else:
-            conv = generate_conversation_direct(ctx, dist, params, gateway, seed)
-    except (NoTurnsGenerated, GenerationFailed, LlmUnavailable) as exc:
-        errors.write(image_id, "generate", str(exc))
+            conv = generate_conversation_direct(
+                ctx, dist, cfg.generation, gateway, seed, filtering=filtering
+            )
+        timings["generate"] = time.monotonic() - t0
+        conv.provenance["id"] = f"{key}-{seed}"
+        conv.provenance["link_key"] = key
+        conv.provenance["image_ref"] = {
+            "dataset": bundle.image.dataset_id,
+            "image_id": bundle.image.image_id,
+            "width": bundle.image.width,
+            "height": bundle.image.height,
+        }
+        return conv, tree_text if tree_text else None, timings
+    except Exception as exc:
+        timings[stage] = time.monotonic() - t0
+        errors.write(image_id, stage, str(exc), error=type(exc).__name__)
         return None, None, timings
-    timings["generate"] = time.monotonic() - t0
-    conv.provenance["id"] = f"{key}-{seed}"
-    conv.provenance["link_key"] = key
-    conv.provenance["image_ref"] = {
-        "dataset": bundle.image.dataset_id,
-        "image_id": bundle.image.image_id,
-        "width": bundle.image.width,
-        "height": bundle.image.height,
-    }
-    return conv, tree_text if tree_text else None, timings
 
 
 def process_shard(
@@ -242,7 +234,6 @@ def process_shard(
     shard_path: Path,
     gateway: LlmGateway,
     dist: PromptDistribution,
-    conv_prompts: ConversionPrompts,
     claim: ShardClaim,
 ) -> dict:
     """Process one claimed shard; returns its stats.
@@ -260,7 +251,7 @@ def process_shard(
     out_dir.mkdir(parents=True, exist_ok=True)
     conv_path = out_dir / f"conversations_shard_{shard_id:05d}.jsonl"
     tree_path = out_dir / f"trees_shard_{shard_id:05d}.jsonl"
-    errors = _ErrorLog(out_dir / "errors.jsonl")
+    errors = _ErrorLog(out_dir / "errors.jsonl", shard_id, claim.worker_id)
     done_ids = _read_done_ids(conv_path)
 
     manifest_dir = Path(shard["manifest"]).resolve().parent
@@ -298,8 +289,7 @@ def process_shard(
         with ThreadPoolExecutor(max_workers=max(1, cfg.parallelism)) as pool:
             futures = [
                 pool.submit(
-                    _process_image, record, key, cfg, dist, gateway, conv_prompts,
-                    errors, manifest_dir,
+                    _process_image, record, key, cfg, dist, gateway, errors, manifest_dir
                 )
                 for key, record in pending
             ]
@@ -339,13 +329,12 @@ def run_pipeline(
     worker_id: str = "worker-0",
     shard_filter: Optional[set[int]] = None,
 ) -> dict:
-    """Claim and process every available shard; returns summary metrics."""
+    """Claim and process every available shard; returns summary metrics.
+
+    A failing image costs only itself (see ``_process_image``); whatever
+    else ends a shard, its claim is released.
+    """
     dist = load_prompt_set(cfg.prompts_dir, cfg.prompts_set)
-    conv_prompts = (
-        ConversionPrompts.from_dir(cfg.conversion_prompts_dir)
-        if cfg.conversion_prompts_dir
-        else ConversionPrompts()
-    )
     shard_dir = cfg.resolved_shard_dir()
     shard_paths = sorted(shard_dir.glob("shard_*.json"))
     if not shard_paths:
@@ -395,9 +384,10 @@ def run_pipeline(
             heartbeat = HeartbeatThread(claim, cfg.heartbeat_s)
             heartbeat.start()
             try:
-                stats = process_shard(cfg, shard_path, gateway, dist, conv_prompts, claim)
+                stats = process_shard(cfg, shard_path, gateway, dist, claim)
             finally:
                 heartbeat.stop()
+                claim.release()  # a superseded claim is left alone
             summary["shards"].append(stats["shard_id"])
             summary["images"] += stats["images"]
             summary["conversations"] += stats["conversations"]
@@ -407,9 +397,7 @@ def run_pipeline(
             for stage in STAGES:
                 summary["stage_s"][stage] += stats["stage_s"][stage]
             if stats["lost"]:
-                # taken over by another worker; its claim is left alone
                 summary["lost_shards"].append(stats["shard_id"])
-            claim.release()
         wall = time.monotonic() - started
         summary["wall_s"] = round(wall, 3)
         summary["conversations_per_hour"] = (

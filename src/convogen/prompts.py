@@ -42,6 +42,11 @@ class PromptTemplate:
         object.__setattr__(self, "compat", frozenset(self.compat))
         if "{context}" not in self.body:
             raise ValueError(f"template {self.template_id!r} lacks {{context}}")
+        unknown = [
+            tok for tok in _PLACEHOLDER.findall(self.body) if tok not in KNOWN_PLACEHOLDERS
+        ]
+        if unknown:
+            raise UnresolvedPlaceholder(f"no value for {unknown[0]} in {self.template_id!r}")
         if self.intent not in INTENTS:
             raise ValueError(f"unknown intent {self.intent!r}")
 
@@ -87,14 +92,8 @@ def sample_template(
 
 
 def render(template: PromptTemplate, ctx: ContextSet) -> str:
-    """Substitute placeholders; the context becomes numbered lines."""
-    unknown = [
-        tok
-        for tok in _PLACEHOLDER.findall(template.body)
-        if tok not in KNOWN_PLACEHOLDERS
-    ]
-    if unknown:
-        raise UnresolvedPlaceholder(f"no value for {unknown[0]} in {template.template_id!r}")
+    """Substitute placeholders; the context becomes numbered lines. A
+    template names no other placeholder: construction checks that."""
     image_size = f"{ctx.image.width}x{ctx.image.height}"
     return template.body.replace("{context}", ctx.numbered()).replace(
         "{image_size}", image_size
@@ -127,29 +126,37 @@ def serialize_turns(pairs: list[tuple[str, str]]) -> str:
 
 
 def load_prompt_set(prompts_dir: str | Path, set_name: str) -> PromptDistribution:
-    """Read ``<prompts_dir>/<set_name>/*.txt`` plus its distribution.json."""
+    """Read ``<prompts_dir>/<set_name>/*.txt`` plus its distribution.json.
+
+    Any fault of the set (unreadable spec, missing file, a template without
+    ``{context}`` or with an unknown placeholder, a bad weight or intent)
+    is a ConfigError, raised before any image runs.
+    """
     base = Path(prompts_dir) / set_name
     dist_path = base / "distribution.json"
     if not dist_path.exists():
         raise ConfigError(f"prompt set {set_name!r} missing {dist_path}")
-    spec = json.loads(dist_path.read_text(encoding="utf-8"))
-    entries: list[tuple[str, float]] = []
-    templates: dict[str, PromptTemplate] = {}
-    for template_id, value in spec.items():
-        if isinstance(value, dict):
-            weight = value.get("weight", 1.0)
-            intent = value.get("intent", "custom")
-            compat = frozenset(value.get("requires", ()))
-        else:
-            weight, intent, compat = value, "custom", frozenset()
-        body_path = base / f"{template_id}.txt"
-        if not body_path.exists():
-            raise ConfigError(f"template file missing: {body_path}")
-        templates[template_id] = PromptTemplate(
-            template_id=template_id,
-            body=body_path.read_text(encoding="utf-8"),
-            intent=intent,
-            compat=compat,
-        )
-        entries.append((template_id, float(weight)))
-    return PromptDistribution(entries=tuple(entries), templates=templates)
+    try:
+        spec = json.loads(dist_path.read_text(encoding="utf-8"))
+        entries: list[tuple[str, float]] = []
+        templates: dict[str, PromptTemplate] = {}
+        for template_id, value in spec.items():
+            if isinstance(value, dict):
+                weight = value.get("weight", 1.0)
+                intent = value.get("intent", "custom")
+                compat = frozenset(value.get("requires", ()))
+            else:
+                weight, intent, compat = value, "custom", frozenset()
+            body_path = base / f"{template_id}.txt"
+            if not body_path.exists():
+                raise ConfigError(f"template file missing: {body_path}")
+            templates[template_id] = PromptTemplate(
+                template_id=template_id,
+                body=body_path.read_text(encoding="utf-8"),
+                intent=intent,
+                compat=compat,
+            )
+            entries.append((template_id, float(weight)))
+        return PromptDistribution(entries=tuple(entries), templates=templates)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"bad prompt set {set_name!r}: {exc}") from exc

@@ -104,22 +104,13 @@ class SceneRegion:
         return math.hypot(w, h)
 
 
-def region_from_box(
-    box: BoxAnnotation, image: ImageRef, rasterize_bbox: bool = False
-) -> SceneRegion:
-    """Build a region from a box annotation, clamped to the image.
-
-    ``rasterize_bbox`` substitutes a rectangle mask when no mask is
-    provided, which exercises the mask code paths without any model output.
-    """
+def region_from_box(box: BoxAnnotation, image: ImageRef) -> SceneRegion:
+    """Build a region from a box annotation, clamped to the image."""
     box = clamp_box(box, image)
-    mask = box.mask_rle
-    if mask is None and rasterize_bbox:
-        mask = rle.from_bbox(box.bbox, image.width, image.height)
     return SceneRegion(
         label=normalize_label(box.label),
         bbox=box.bbox,
-        mask_rle=mask,
+        mask_rle=box.mask_rle,
         depth_mean=box.depth_mean,
         attributes=tuple(sorted(set(box.attributes))),
     )
@@ -432,10 +423,9 @@ def build_scene_tree(
     boxes: list[BoxAnnotation],
     image: ImageRef,
     params: SceneTreeParams,
-    rasterize_bbox: bool = False,
 ) -> tuple[SceneTree, str]:
     """Full pipeline for one image: merge, place, group, serialize."""
-    regions = [region_from_box(b, image, rasterize_bbox) for b in boxes]
+    regions = [region_from_box(b, image) for b in boxes]
     merged = merge_duplicates(regions, params)
     tree = group_and_count(build_tree(merged, params), params)
     return tree, serialize_tree(tree, image)

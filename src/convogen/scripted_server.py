@@ -188,10 +188,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def do_GET(self):
-        if self.path == "/stats":
-            self._send(200, self.server.owner.stats())
-        else:
-            self._send(200, {"ok": True})
+        self._send(200, {"ok": True})
 
     def do_POST(self):
         owner = self.server.owner

@@ -21,11 +21,10 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import AlreadyClaimed
-from .ingestion import FILE_STEM, DatasetRegistry, link_key
-from .metadata import ImageRef
+from .ingestion import FILE_STEM, DatasetRegistry, WarnFn, link_key_of
 
 
 def stable_shard(canonical_key: str, n: int) -> int:
@@ -34,31 +33,16 @@ def stable_shard(canonical_key: str, n: int) -> int:
     return int(digest, 16) % n
 
 
-def iter_record_offsets(manifest_path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (byte offset, parsed record) for every line of a manifest."""
-    with open(manifest_path, "rb") as fh:
-        offset = 0
-        for raw in fh:
-            line = raw.decode("utf-8").strip()
-            if line:
-                yield offset, json.loads(line)
-            offset += len(raw)
-
-
 def record_link_key(
     record: dict,
     registry: Optional[DatasetRegistry] = None,
     id_map: Optional[dict] = None,
 ) -> str:
-    image = ImageRef(
-        dataset_id=record["dataset"],
-        image_id=str(record["image_id"]),
-        uri=record["uri"],
-        width=int(record["width"]),
-        height=int(record["height"]),
-    )
-    namespace = registry.namespace_for(image.dataset_id) if registry else FILE_STEM
-    return str(link_key(image, namespace, id_map))
+    """The record's link key. Only the fields the key is made of are read:
+    the rest of the record is checked when its image runs."""
+    dataset_id, image_id = record["dataset"], str(record["image_id"])
+    namespace = registry.namespace_for(dataset_id) if registry else FILE_STEM
+    return str(link_key_of(dataset_id, image_id, record["uri"], namespace, id_map))
 
 
 def plan_shards(
@@ -67,19 +51,34 @@ def plan_shards(
     out_dir: str | Path,
     registry: Optional[DatasetRegistry] = None,
     id_map: Optional[dict] = None,
+    on_warning: WarnFn = None,
 ) -> list[Path]:
-    """Partition records by link-key hash mod n into shard index files."""
+    """Partition records by link-key hash mod n into shard index files.
+
+    A line that is not a JSON record with the fields of a link key is left
+    out and reported to ``on_warning`` with its line number.
+    """
     if n < 1:
         raise ValueError("shard count must be >= 1")
     shards: list[dict] = [
         {"shard_id": i, "manifest": str(manifest_path), "offsets": [], "keys": []}
         for i in range(n)
     ]
-    for offset, record in iter_record_offsets(manifest_path):
-        key = record_link_key(record, registry, id_map)
-        shard = shards[stable_shard(key, n)]
-        shard["offsets"].append(offset)
-        shard["keys"].append(key)
+    with open(manifest_path, "rb") as fh:
+        offset = 0
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line:
+                try:
+                    key = record_link_key(json.loads(line.decode("utf-8")), registry, id_map)
+                except Exception as exc:
+                    if on_warning:
+                        on_warning({"line": lineno, "reason": f"unparseable record: {exc!r}"})
+                else:
+                    shard = shards[stable_shard(key, n)]
+                    shard["offsets"].append(offset)
+                    shard["keys"].append(key)
+            offset += len(raw)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from convogen.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, main
+from convogen.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_RUNTIME, main
 from convogen.metadata import record_line
 
 from conftest import PROMPTS_DIR
@@ -42,6 +42,37 @@ class TestValidate:
         assert "duplicate" in out
 
 
+def write_bad_lines_manifest(path: Path) -> Path:
+    """Two good records around a ``bbox: null`` record and a non-JSON line
+    (lines 2 and 3)."""
+    null_bbox = rich_record(1)
+    null_bbox["boxes"][0]["bbox"] = None
+    lines = [rich_record(0), null_bbox, "{not json", rich_record(2)]
+    path.write_text(
+        "".join((r if isinstance(r, str) else record_line(r)) + "\n" for r in lines),
+        encoding="utf-8",
+    )
+    return path
+
+
+class TestBadLines:
+    def test_validate_reports_each_bad_line(self, tmp_path, capsys):
+        manifest = write_bad_lines_manifest(tmp_path / "m.jsonl")
+        assert main(["validate", "--manifest", str(manifest)]) == EXIT_FINDINGS
+        out = capsys.readouterr().out
+        assert "checked 2 records: 2 problems" in out
+        assert "'line': 2" in out and "'line': 3" in out
+
+    def test_plan_skips_and_reports_unparseable_lines(self, tmp_path, capsys):
+        manifest = write_bad_lines_manifest(tmp_path / "m.jsonl")
+        assert main(["plan", "--manifest", str(manifest), "--shards", "1",
+                     "--out-dir", str(tmp_path / "shards")]) == EXIT_OK
+        out = capsys.readouterr().out
+        # the null bbox is a fault of its image, left to the run
+        assert "over 3 records" in out
+        assert "skipped 1 unparseable lines: 3" in out
+
+
 class TestTree:
     def test_renders_record(self, tmp_path, capsys):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 2)
@@ -71,12 +102,15 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "key", ["registry_path", "id_map_path", "shard_count", "simulated_sidecar_ms"]
+        "key",
+        ["registry_path", "id_map_path", "shard_count", "simulated_sidecar_ms",
+         "conversion_prompts_dir"],
     )
     def test_removed_config_keys_exit_two(self, tmp_path, key):
         # registry, id map and shard count belong to ingest and plan, not
-        # run, and the pipeline has no sidecar stand-in; the shards exist,
-        # so the key is all that is wrong here
+        # run, the pipeline has no sidecar stand-in, and the conversion
+        # prompts are fixed; the shards exist, so the key is all that is
+        # wrong here
         from convogen.sharding import plan_shards
 
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
@@ -86,6 +120,54 @@ class TestRun:
         data[key] = str(manifest) if key.endswith("_path") else 1
         path.write_text(json.dumps(data))
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_quality_filter_key_exits_two(self, tmp_path):
+        # the filter is switched by features.filtering alone
+        from convogen.sharding import plan_shards
+
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        config = write_config(tmp_path, manifest, generation={"quality_filter": True})
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "body, weight",
+        [("{context} {mystery}", 1.0), ("no facts here", 1.0), ("{context}", 0.0)],
+        ids=["unknown-placeholder", "no-context", "zero-weight"],
+    )
+    def test_bad_prompt_set_exits_two_before_any_image(self, tmp_path, body, weight):
+        from convogen.sharding import plan_shards
+
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        prompts = tmp_path / "prompts" / "bad"
+        prompts.mkdir(parents=True)
+        (prompts / "turn.txt").write_text(body, encoding="utf-8")
+        (prompts / "distribution.json").write_text(json.dumps({"turn": weight}))
+        config = write_config(
+            tmp_path, manifest, prompts_dir=str(tmp_path / "prompts"), prompts_set="bad"
+        )
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert not list((tmp_path / "shards").glob("*.claim.*"))
+
+    def test_every_call_rejected_exits_four(self, tmp_path, capsys):
+        # a systematic fault (say, a wrong model name answered with 400)
+        # costs every image, and a run with no conversation is no success
+        from convogen.sharding import plan_shards
+
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 3)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        fixtures = tmp_path / "reject.jsonl"
+        fixtures.write_text(json.dumps({"pattern": ".", "status": 400}) + "\n")
+        config = write_config(tmp_path, manifest)
+        assert main(["run", "--config", str(config),
+                     "--scripted-fixtures", str(fixtures)]) == EXIT_RUNTIME
+        assert "0 conversations from 3 images" in capsys.readouterr().out
+        rows = [json.loads(line) for line in
+                (tmp_path / "out" / "errors.jsonl").read_text().splitlines()]
+        assert [row["error"] for row in rows] == ["ProtocolError"] * 3
+        claim = json.loads((tmp_path / "shards" / "shard_00000.json.claim.1").read_text())
+        assert claim["released"] is True
 
     def test_unreachable_live_endpoint_exits_three(self, tmp_path):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
@@ -150,3 +232,18 @@ class TestIngest:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 1
         assert len(records[0]["captions"]) == 3  # 2 fixture + 1 other
+
+    def test_conflicting_registry_exits_two(self, tmp_path):
+        (tmp_path / "a.jsonl").write_text(record_line(rich_record(0)) + "\n")
+        (tmp_path / "b.jsonl").write_text(record_line(rich_record(1)) + "\n")
+        registry = tmp_path / "registry.json"
+        registry.write_text(
+            json.dumps(
+                [
+                    {"dataset_id": "fixture", "manifest_path": str(tmp_path / "a.jsonl")},
+                    {"dataset_id": "fixture", "manifest_path": str(tmp_path / "b.jsonl")},
+                ]
+            )
+        )
+        out = tmp_path / "grouped.jsonl"
+        assert main(["ingest", "--registry", str(registry), "--out", str(out)]) == EXIT_CONFIG

@@ -301,8 +301,7 @@ class TestGenerateConversation:
                 ("KEEP or DROP", ["DROP: dull", "KEEP"]),
             ]
         )
-        params = GenerationParams(quality_filter=True)
-        conv = generate_conversation(ctx, dist, params, llm, rng_seed=1)
+        conv = generate_conversation(ctx, dist, GenerationParams(), llm, rng_seed=1, filtering=True)
         assert len(conv.provenance["filtered_turns"]) == 1
         assert all(t.assistant != "first." for t in conv.turns)
 
@@ -366,8 +365,9 @@ class TestGenerateConversationDirect:
                 ("KEEP or DROP", lambda p: "DROP: dull" if "dull." in p else "KEEP"),
             ]
         )
-        params = GenerationParams(quality_filter=True)
-        conv = generate_conversation_direct(ctx, dist, params, llm, rng_seed=1)
+        conv = generate_conversation_direct(
+            ctx, dist, GenerationParams(), llm, rng_seed=1, filtering=True
+        )
         assert [t.assistant for t in conv.turns] == ["a.", "c."]
         assert conv.provenance["filtered_turns"] == [
             {"iteration": 1, "template_id": "t", "verdict": "DROP: dull"}

@@ -489,8 +489,9 @@ class TestProperties:
 
     def test_region_from_box_rasterize_mode(self):
         image = make_image(width=50, height=50)
-        box = BoxAnnotation("Dogs", (5, 5, 10, 10), source="s")
-        r = region_from_box(box, image, rasterize_bbox=True)
+        mask = rle.from_bbox((5, 5, 10, 10), 50, 50)
+        box = BoxAnnotation("Dogs", (5, 5, 10, 10), mask_rle=mask, source="s")
+        r = region_from_box(box, image)
         assert r.label == "dog"
         assert r.mask_rle is not None
         assert rle.foreground_area(r.mask_rle) == 100
