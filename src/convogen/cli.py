@@ -11,17 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .config import FeatureFlags, load_config
 from .errors import ConfigError, LlmUnavailable, PipelineError
 from .ingestion import (
     DatasetRegistry,
     group_by_image,
+    load_bundle,
     load_id_map,
     load_manifest,
+    open_input,
     write_manifest,
 )
-from .metadata import bundle_from_record
 from .pipeline import run_pipeline
 from .scene_tree import SceneTreeParams, build_scene_tree
 from .sharding import plan_shards
@@ -92,19 +94,30 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tree(args) -> int:
+    """Render the tree ``run`` builds: the record goes through the same
+    ingest (sidecars, mask checks, clamping), and its warnings go to stderr.
+    Lines that are not JSON objects are skipped."""
     params = SceneTreeParams()
     if args.config:
         params = load_config(args.config, check_paths=False).scene
-    with open(args.manifest, encoding="utf-8") as fh:
+
+    def warn(warning: dict) -> None:
+        print(f"warning: {warning['reason']}", file=sys.stderr)
+
+    base_dir = Path(args.manifest).resolve().parent
+    with open_input(args.manifest, "manifest") as fh:
         for index, line in enumerate(fh):
-            if not line.strip():
-                continue
-            record = json.loads(line)
             if args.index is not None and index != args.index:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            if not isinstance(record, dict):
                 continue
             if args.image_id is not None and str(record.get("image_id")) != args.image_id:
                 continue
-            bundle = bundle_from_record(record)
+            bundle = load_bundle(record, warn, base_dir=base_dir)
             _, ascii_tree = build_scene_tree(list(bundle.boxes), bundle.image, params)
             print(f"# {bundle.image.uri} ({bundle.image.width}x{bundle.image.height})")
             print(ascii_tree if ascii_tree else "(no regions)")

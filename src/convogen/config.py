@@ -70,7 +70,9 @@ _NESTED = {
 }
 
 
-def _build_nested(cls, data: dict):
+def build_section(cls, data: dict):
+    """One dataclass from a JSON object; unknown or missing keys and
+    rejected values are config errors."""
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
@@ -89,7 +91,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
     kwargs = dict(data)
     for name, cls in _NESTED.items():
         if name in kwargs:
-            kwargs[name] = _build_nested(cls, kwargs[name])
+            kwargs[name] = build_section(cls, kwargs[name])
     try:
         cfg = PipelineConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import EmptyDescription
+from .gateway import ask
 from .metadata import BoxAnnotation, ImageRef, MetadataBundle, QAAnnotation
 
 ORIGIN_CAPTION = "caption"
@@ -110,13 +111,12 @@ def qa_to_statement(qa: QAAnnotation, llm, max_attempts: int = 3) -> ContextSent
     that the deterministic template keeps the metadata from being lost.
     """
     prompt = QA_SINGLE_PROMPT.format(question=qa.question, answer=qa.answer)
-    for _ in range(max_attempts):
-        reply = llm.complete(prompt, stage="qa_conversion")
-        line = " ".join(reply.split())
-        if line:
-            return make_sentence(line, ORIGIN_QA, qa.source)
-    fallback = QA_FALLBACK_TEMPLATE.format(question=qa.question, answer=qa.answer)
-    return make_sentence(fallback, ORIGIN_QA, qa.source)
+    line, _ = ask(
+        llm, prompt, "qa_conversion", lambda r: " ".join(r.split()) or None, max_attempts
+    )
+    if line is None:
+        line = QA_FALLBACK_TEMPLATE.format(question=qa.question, answer=qa.answer)
+    return make_sentence(line, ORIGIN_QA, qa.source)
 
 
 def qas_to_statements(
@@ -131,15 +131,12 @@ def qas_to_statements(
         f"{i}. Q: {qa.question} A: {qa.answer}" for i, qa in enumerate(qas, 1)
     )
     prompt = QA_BATCH_PROMPT.format(pairs=pairs)
-    for _ in range(max_attempts):
-        reply = llm.complete(prompt, stage="qa_conversion")
-        statements = _parse_numbered(reply, len(qas))
-        if statements:
-            return [
-                make_sentence(text, ORIGIN_QA, qa.source)
-                for text, qa in zip(statements, qas)
-            ]
-    return [qa_to_statement(qa, llm, max_attempts) for qa in qas]
+    statements, _ = ask(
+        llm, prompt, "qa_conversion", lambda r: _parse_numbered(r, len(qas)), max_attempts
+    )
+    if statements is None:
+        return [qa_to_statement(qa, llm, max_attempts) for qa in qas]
+    return [make_sentence(text, ORIGIN_QA, qa.source) for text, qa in zip(statements, qas)]
 
 
 def tree_to_description(
@@ -149,12 +146,12 @@ def tree_to_description(
     if not ascii_tree.strip():
         return []
     prompt = TREE_PROMPT.format(tree=ascii_tree)
-    for _ in range(max_attempts):
-        reply = llm.complete(prompt, stage="tree_conversion")
-        sentences = split_sentences(reply)
-        if sentences:
-            return [make_sentence(s, ORIGIN_TREE, source) for s in sentences]
-    raise EmptyDescription("model yielded no sentences for the scene tree")
+    sentences, _ = ask(
+        llm, prompt, "tree_conversion", lambda r: split_sentences(r) or None, max_attempts
+    )
+    if sentences is None:
+        raise EmptyDescription("model yielded no sentences for the scene tree")
+    return [make_sentence(s, ORIGIN_TREE, source) for s in sentences]
 
 
 def boxes_to_plain_sentences(boxes: Sequence[BoxAnnotation]) -> list[str]:

@@ -33,10 +33,6 @@ class ProtocolError(PipelineError):
     """The LLM endpoint returned a malformed or unexpected response."""
 
 
-class GenerationFailed(PipelineError):
-    """No parseable turn was obtained within the retry budget."""
-
-
 class EmptyDescription(PipelineError):
     """The model produced no usable sentences for a scene description."""
 

@@ -1,4 +1,5 @@
-"""HTTP client for chat-completion endpoints.
+"""HTTP client for chat-completion endpoints, and ``ask``, the one retry
+loop for model replies that do not parse.
 
 Concurrency is bounded with a semaphore shared by all worker threads;
 transient failures (connection errors, 429/5xx) are retried with
@@ -13,7 +14,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import requests
 
@@ -86,6 +87,8 @@ class GatewayConfig:
             raise ValueError("max_in_flight must be >= 1")
         if self.mode not in ("live", "scripted"):
             raise ValueError(f"bad gateway mode {self.mode!r}")
+        # sampling settings that every request would reject fail here, at load
+        ChatRequest(self.model, [{"role": "user"}], self.temperature, self.max_tokens)
 
     def with_env_overrides(self) -> "GatewayConfig":
         """Environment overrides credentials/endpoint only."""
@@ -238,6 +241,23 @@ class LlmGateway:
             seed=seed,
         )
         return self.chat(req, stage=stage).content
+
+
+def ask(
+    llm, prompt: str, stage: str, parse: Callable[[str], Any], attempts: int = 1, seed=None
+) -> tuple[Any, int]:
+    """Ask until ``parse`` accepts a reply; returns (parsed, calls made).
+
+    ``llm`` is anything with ``complete``. A reply that ``parse`` maps to
+    None is asked again, up to ``attempts`` calls; any other value, False
+    included, is the answer. An exhausted budget gives (None, attempts),
+    and what that means is the caller's rule.
+    """
+    for call in range(1, attempts + 1):
+        parsed = parse(llm.complete(prompt, stage=stage, seed=seed))
+        if parsed is not None:
+            return parsed, call
+    return None, attempts
 
 
 def probe_endpoint(endpoint_url: str, timeout_s: float = 5.0) -> bool:

@@ -10,8 +10,9 @@ Direct mode (``generate_conversation_direct``, reduction off) makes one
 generation call over the whole context and keeps the parsed turns that pass
 verification; a failed verdict drops the turn rather than regenerating it.
 
-Both modes share the render/call/parse retry loop (``_generate_pairs``) and
-the optional quality filter with its provenance record (``_passes_filter``).
+Both modes ask for turns through ``gateway.ask``, the one retry loop for
+replies that do not parse, and share the optional quality filter with its
+provenance record (``_passes_filter``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .context import ContextSet
-from .errors import GenerationFailed, NoCompatibleTemplate, NoTurnsGenerated
+from .errors import NoTurnsGenerated
+from .gateway import ask
 from .metadata import ImageRef
 from .prompts import PromptDistribution, parse_conversation, render, sample_template
 
@@ -143,47 +145,17 @@ def _turn_prompt(template: str, S: ContextSet, turn: Turn) -> str:
     return template.format(context=S.numbered(), human=turn.human, assistant=turn.assistant)
 
 
-def _generate_pairs(
-    S_i: ContextSet, template, llm, p: GenerationParams, seed: Optional[int]
-) -> tuple[list[tuple[str, str]], int]:
-    """Render, call the model, parse; returns (pairs, attempts used).
-
-    Unparseable output is retried up to max_retries, then GenerationFailed.
-    """
-    prompt = render(template, S_i)
-    for attempt in range(1, p.max_retries + 1):
-        pairs = parse_conversation(llm.complete(prompt, stage="generate", seed=seed))
-        if pairs:
-            return pairs, attempt
-    raise GenerationFailed(
-        f"no parseable turn from template {template.template_id!r} "
-        f"after {p.max_retries} attempts"
-    )
-
-
-def generate_turn(
-    S_i: ContextSet,
-    template,
-    llm,
-    p: GenerationParams,
-    iteration: int = 0,
-    seed: Optional[int] = None,
-) -> tuple[Turn, int]:
-    """The first parsed pair as a turn; returns (turn, attempts used)."""
-    pairs, attempts = _generate_pairs(S_i, template, llm, p, seed)
-    human, assistant = pairs[0]
-    return Turn(human, assistant, template.template_id, iteration), attempts
+def _pairs(reply: str) -> Optional[list[tuple[str, str]]]:
+    """The reply's (human, assistant) pairs, or None when it has none."""
+    return parse_conversation(reply) or None
 
 
 def verify_turn(turn: Turn, S_full: ContextSet, llm, p: GenerationParams) -> bool:
     """Cross-check a turn against the full context; unparseable verdicts
     after the retry budget count as failed verification."""
     prompt = _turn_prompt(VERIFY_PROMPT, S_full, turn)
-    for _ in range(p.max_retries):
-        verdict = parse_yes_no(llm.complete(prompt, stage="verify"))
-        if verdict is not None:
-            return verdict
-    return False
+    verdict, _ = ask(llm, prompt, "verify", parse_yes_no, p.max_retries)
+    return bool(verdict)
 
 
 def lexical_reduce(S_i: ContextSet, turn: Turn) -> ContextSet:
@@ -256,6 +228,42 @@ def _fresh_provenance(S: ContextSet) -> dict:
     }
 
 
+def _staged_turn(
+    S_i: ContextSet,
+    S: ContextSet,
+    dist: PromptDistribution,
+    rng: random.Random,
+    llm,
+    p: GenerationParams,
+    iteration: int,
+    seed: int,
+) -> tuple[Optional[Turn], int]:
+    """One stage's verified turn, or None; returns (turn, generation calls).
+
+    The drawn template gets up to max_retries generate-and-verify rounds,
+    and a reply that never parses ends them. Then one redraw gets the same,
+    but only when it names a different template.
+    """
+    template = sample_template(dist, S_i, rng)
+    calls = 0
+    for redraw in (False, True):
+        if redraw:
+            drawn = sample_template(dist, S_i, rng)
+            if drawn.template_id == template.template_id:
+                break
+            template = drawn
+        for _ in range(p.max_retries):
+            pairs, used = ask(llm, render(template, S_i), "generate", _pairs, p.max_retries, seed)
+            calls += used
+            if pairs is None:
+                break
+            human, assistant = pairs[0]
+            turn = Turn(human, assistant, template.template_id, iteration)
+            if verify_turn(turn, S, llm, p):
+                return turn, calls
+    return None, calls
+
+
 def generate_conversation(
     S: ContextSet,
     dist: PromptDistribution,
@@ -267,11 +275,10 @@ def generate_conversation(
 ) -> Conversation:
     """Run the staged loop: sample, generate, verify, append, reduce.
 
-    A turn failing verification is regenerated with the same template up to
-    max_retries, then one differently-sampled template is tried before the
-    iteration is abandoned. Terminates by the stopping criteria or the
-    max_turns cap; deterministic given the seed and a deterministic model.
-    ``filtering`` turns the quality filter on.
+    Each stage's turn comes from ``_staged_turn``; a stage without one is
+    abandoned. Terminates by the stopping criteria or the max_turns cap;
+    deterministic given the seed and a deterministic model. ``filtering``
+    turns the quality filter on.
     """
     rng = random.Random(rng_seed)
     prov = _fresh_provenance(S)
@@ -279,42 +286,15 @@ def generate_conversation(
     S_i = S
     iteration = 0
     while iteration < p.max_turns and not stopping_criteria(S_i, S, p):
-        turn = None
-        attempts_this_turn = 0
-        resampled = False
-        template = sample_template(dist, S_i, rng)
-        while True:
-            for _ in range(p.max_retries):
-                try:
-                    candidate, attempts = generate_turn(
-                        S_i, template, llm, p, iteration, seed=rng_seed
-                    )
-                except GenerationFailed:
-                    attempts_this_turn += p.max_retries
-                    break
-                attempts_this_turn += attempts
-                if verify_turn(candidate, S, llm, p):
-                    turn = candidate
-                    break
-            if turn is not None or resampled:
-                break
-            # one differently-sampled template before abandoning the stage
-            resampled = True
-            try:
-                retry_template = sample_template(dist, S_i, rng)
-            except NoCompatibleTemplate:
-                break
-            if retry_template.template_id == template.template_id:
-                break
-            template = retry_template
+        turn, calls = _staged_turn(S_i, S, dist, rng, llm, p, iteration, rng_seed)
         iteration += 1
         prov["iterations"] = iteration
         # every generation call past the first of the stage counts as a retry
-        prov["retries_total"] += max(0, attempts_this_turn - 1)
+        prov["retries_total"] += max(0, calls - 1)
         if turn is None:
             continue
         prov["templates_used"].append(turn.template_id)
-        prov["turn_attempts"].append(attempts_this_turn)
+        prov["turn_attempts"].append(calls)
         if _passes_filter(turn, S, llm, p, prov, filtering):
             turns.append(turn)
         # covered information is consumed even when the filter dropped the
@@ -344,13 +324,12 @@ def generate_conversation_direct(
     rng = random.Random(rng_seed)
     prov = _fresh_provenance(S)
     template = sample_template(dist, S, rng)
-    try:
-        pairs, attempts = _generate_pairs(S, template, llm, p, rng_seed)
-    except GenerationFailed:
+    pairs, attempts = ask(llm, render(template, S), "generate", _pairs, p.max_retries, rng_seed)
+    if pairs is None:
         raise NoTurnsGenerated(
             f"no parseable conversation for {S.image.image_id} "
             f"after {p.max_retries} attempts"
-        ) from None
+        )
     prov["retries_total"] = attempts - 1
     prov["templates_used"].append(template.template_id)
     turns: list[Turn] = []

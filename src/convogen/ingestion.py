@@ -12,11 +12,12 @@ import itertools
 import json
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import IO, Callable, Iterable, Iterator, Optional
 
 from . import rle
+from .config import build_section
 from .errors import ConfigError, DegenerateBox, DuplicateDataset
 from .metadata import (
     ImageRef,
@@ -29,7 +30,6 @@ from .metadata import (
     record_line,
 )
 
-DATASET_KINDS = ("captions", "boxes", "qa", "mixed")
 FILE_STEM = "file-stem"
 
 WarnFn = Optional[Callable[[dict], None]]
@@ -39,14 +39,11 @@ WarnFn = Optional[Callable[[dict], None]]
 class DatasetDescriptor:
     dataset_id: str
     manifest_path: str
-    kind: str = "mixed"
     link_namespace: str = FILE_STEM
 
     def __post_init__(self):
         if not self.dataset_id:
             raise ValueError("dataset_id must be non-empty")
-        if self.kind not in DATASET_KINDS:
-            raise ValueError(f"kind must be one of {DATASET_KINDS}, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,8 @@ class DatasetRegistry:
 
     @classmethod
     def from_config(cls, path: str | Path) -> "DatasetRegistry":
-        """Load a JSON array of descriptor objects."""
+        """Load a JSON array of descriptor objects, each checked like a
+        config section."""
         try:
             entries = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
@@ -106,17 +104,13 @@ class DatasetRegistry:
         registry = cls()
         base = Path(path).parent
         for entry in entries:
-            manifest = entry.get("manifest_path", "")
-            if manifest and not Path(manifest).is_absolute():
-                manifest = str(base / manifest)
-            registry.register(
-                DatasetDescriptor(
-                    dataset_id=entry["dataset_id"],
-                    manifest_path=manifest,
-                    kind=entry.get("kind", "mixed"),
-                    link_namespace=entry.get("link_namespace", FILE_STEM),
-                )
-            )
+            try:
+                desc = build_section(DatasetDescriptor, entry)
+            except ConfigError as exc:
+                raise ConfigError(f"registry {path}: {exc}") from exc
+            if desc.manifest_path and not Path(desc.manifest_path).is_absolute():
+                desc = replace(desc, manifest_path=str(base / desc.manifest_path))
+            registry.register(desc)
         return registry
 
 
@@ -151,15 +145,28 @@ def link_key_of(
     return LinkKey(namespace, image_id.strip().lower())
 
 
+def open_input(path: str | Path, what: str, mode: str = "r") -> IO:
+    """Open an input file named by the user; a missing or unreadable one is
+    a config error."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_id_map(path: str | Path) -> dict[tuple[str, str], str]:
-    """JSON Lines of {"dataset", "image_id", "canonical_id"}."""
+    """JSON Lines of {"dataset", "image_id", "canonical_id"}; a bad row is a
+    config error naming its line."""
     mapping: dict[tuple[str, str], str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    with open_input(path, "id map") as fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            mapping[(row["dataset"], str(row["image_id"]))] = row["canonical_id"]
+            try:
+                row = json.loads(line)
+                mapping[(row["dataset"], str(row["image_id"]))] = row["canonical_id"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"id map {path}, line {lineno}: bad row: {exc!r}") from exc
     return mapping
 
 
@@ -266,7 +273,7 @@ def load_manifest(path: str | Path, on_warning: WarnFn = None) -> Iterator[Metad
     directory.
     """
     base_dir = Path(path).resolve().parent
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "manifest") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

@@ -16,7 +16,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Optional
 
+from .errors import ConfigError
 from .gateway import request_digest
+from .ingestion import open_input
 
 _NUMBERED = re.compile(r"^\s*(\d+)\.\s+(.*\S)\s*$", re.MULTILINE)
 _QA_PAIR = re.compile(r"^\s*(\d+)\.\s*Q:\s*(.*?)\s*A:\s*(.*?)\s*$", re.MULTILINE)
@@ -144,12 +146,21 @@ class _Rule:
 
 
 def load_fixture_file(path: str | Path) -> list[dict]:
-    """JSON Lines: {"digest","response"} plus the rule extensions above."""
+    """JSON Lines: {"digest","response"} plus the rule extensions above.
+
+    A missing file or a line that is not a valid rule is a config error
+    naming the file (and the line).
+    """
     rules = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    with open_input(path, "fixtures") as fh:
+        for lineno, line in enumerate(fh, 1):
             if line.strip():
-                rules.append(json.loads(line))
+                try:
+                    rule = json.loads(line)
+                    _Rule(rule)  # checked here, where its line is known
+                except (ValueError, TypeError, AttributeError, re.error) as exc:
+                    raise ConfigError(f"fixtures {path}, line {lineno}: bad rule: {exc!r}") from exc
+                rules.append(rule)
     return rules
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import AlreadyClaimed
-from .ingestion import FILE_STEM, DatasetRegistry, WarnFn, link_key_of
+from .ingestion import FILE_STEM, DatasetRegistry, WarnFn, link_key_of, open_input
 
 
 def stable_shard(canonical_key: str, n: int) -> int:
@@ -64,7 +64,7 @@ def plan_shards(
         {"shard_id": i, "manifest": str(manifest_path), "offsets": [], "keys": []}
         for i in range(n)
     ]
-    with open(manifest_path, "rb") as fh:
+    with open_input(manifest_path, "manifest", "rb") as fh:
         offset = 0
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()

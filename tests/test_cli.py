@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from convogen import rle
 from convogen.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_RUNTIME, main
 from convogen.metadata import record_line
+from convogen.sharding import plan_shards
 
 from conftest import PROMPTS_DIR
 from test_pipeline import rich_record, write_fixture_manifest
@@ -83,6 +85,88 @@ class TestTree:
     def test_missing_record(self, tmp_path):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
         assert main(["tree", "--manifest", str(manifest), "--index", "9"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("select", [["--index", "1"], ["--image-id", "0001"]])
+    def test_skips_non_json_lines_before_the_record(self, tmp_path, capsys, select):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("{not json\n" + record_line(rich_record(1)) + "\n")
+        assert main(["tree", "--manifest", str(manifest), *select]) == EXIT_OK
+        assert "fixture_0001.jpg" in capsys.readouterr().out
+
+    def test_renders_the_tree_run_builds(self, tmp_path, capsys):
+        # a mask from another grid is dropped at ingest, as in `run`
+        record = rich_record(0)
+        record["boxes"][0]["mask_rle"] = rle.from_bbox((1, 1, 4, 4), 64, 48)
+        record["boxes"][1]["mask_rle"] = rle.from_bbox((200, 100, 80, 120), 640, 480)
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(record_line(record) + "\n")
+        assert main(["tree", "--manifest", str(manifest), "--index", "0"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "lamp" in captured.out and "chair" in captured.out
+        assert "invalid mask on box 'lamp', mask dropped" in captured.err
+
+
+def write_bad_input(tmp_path, flag: str, kind: str) -> Path:
+    """The file for ``flag`` with one fault after a valid line 1: a non-JSON
+    line 2, an unknown program on line 2, or no file at all."""
+    path = tmp_path / f"{kind}.jsonl"
+    if flag == "--id-map":
+        valid = {"dataset": "fixture", "image_id": "0000", "canonical_id": "x"}
+    else:
+        valid = {"pattern": "x", "response": "y"}
+    bad = {
+        "non-json": "{not json",
+        "unknown-program": json.dumps({"pattern": ".", "program": "no-such-program"}),
+    }
+    if kind in bad:
+        path.write_text(json.dumps(valid) + "\n" + bad[kind] + "\n")
+    return path
+
+
+class TestInputFileFaults:
+    """A fault in an input file named on the command line is exit 2 with a
+    message naming the file (and the line), before any image runs."""
+
+    @pytest.mark.parametrize(
+        "command, flag, kind",
+        [
+            ("ingest", "--id-map", "non-json"),
+            ("ingest", "--id-map", "missing"),
+            ("plan", "--id-map", "non-json"),
+            ("plan", "--id-map", "missing"),
+            ("plan", "--manifest", "missing"),
+            ("run", "--scripted-fixtures", "non-json"),
+            ("run", "--scripted-fixtures", "unknown-program"),
+            ("run", "--scripted-fixtures", "missing"),
+            ("validate", "--manifest", "missing"),
+            ("tree", "--manifest", "missing"),
+        ],
+    )
+    def test_exits_two_naming_the_file(self, tmp_path, capsys, command, flag, kind):
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 2)
+        bad = str(write_bad_input(tmp_path, flag, kind))
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps([{"dataset_id": "fixture", "manifest_path": str(manifest)}]))
+        args = {
+            "ingest": ["--registry", str(registry), "--out", str(tmp_path / "grouped.jsonl")],
+            "plan": ["--manifest", str(manifest), "--shards", "1",
+                     "--out-dir", str(tmp_path / "shards")],
+            "run": ["--config", str(write_config(tmp_path, manifest))],
+            "validate": [],
+            "tree": ["--index", "0"],
+        }[command]
+        if command == "run":
+            plan_shards(manifest, 1, tmp_path / "shards")
+        if flag in args:
+            args[args.index(flag) + 1] = bad
+        else:
+            args += [flag, bad]
+        assert main([command, *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert bad in err
+        if kind != "missing":
+            assert "line 2" in err
+        assert not list(tmp_path.glob("shards/*.claim.*"))
 
 
 class TestRun:
@@ -169,6 +253,16 @@ class TestRun:
         claim = json.loads((tmp_path / "shards" / "shard_00000.json.claim.1").read_text())
         assert claim["released"] is True
 
+    @pytest.mark.parametrize(
+        "setting", [{"temperature": -1}, {"max_tokens": 0}], ids=["temperature", "max-tokens"]
+    )
+    def test_bad_gateway_setting_exits_two_before_any_image(self, tmp_path, setting):
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        config = write_config(tmp_path, manifest, gateway={"mode": "scripted", **setting})
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert not list((tmp_path / "shards").glob("*.claim.*"))
+
     def test_unreachable_live_endpoint_exits_three(self, tmp_path):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
         from convogen.sharding import plan_shards
@@ -247,3 +341,21 @@ class TestIngest:
         )
         out = tmp_path / "grouped.jsonl"
         assert main(["ingest", "--registry", str(registry), "--out", str(out)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"manifest_path": "a.jsonl"},
+            {"dataset_id": "fixture", "manifest_path": "a.jsonl", "kind": "mixed"},
+            {"dataset_id": "fixture", "manifest_path": "a.jsonl", "link_namspace": "coco"},
+        ],
+        ids=["no-dataset-id", "kind", "misspelt-key"],
+    )
+    def test_bad_registry_entry_exits_two(self, tmp_path, capsys, entry):
+        (tmp_path / "a.jsonl").write_text(record_line(rich_record(0)) + "\n")
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps([entry]))
+        out = tmp_path / "grouped.jsonl"
+        assert main(["ingest", "--registry", str(registry), "--out", str(out)]) == EXIT_CONFIG
+        assert str(registry) in capsys.readouterr().err
+        assert not out.exists()

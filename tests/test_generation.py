@@ -6,14 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convogen.context import ORIGIN_CAPTION, ContextSet, make_sentence
-from convogen.errors import GenerationFailed, NoTurnsGenerated
+from convogen.errors import NoTurnsGenerated
+from convogen.gateway import ask
 from convogen.generation import (
     GenerationParams,
     Turn,
     content_words,
     generate_conversation,
     generate_conversation_direct,
-    generate_turn,
     lexical_reduce,
     parse_keep_drop,
     parse_yes_no,
@@ -22,7 +22,7 @@ from convogen.generation import (
     stopping_criteria,
     verify_turn,
 )
-from convogen.prompts import PromptDistribution, PromptTemplate
+from convogen.prompts import PromptDistribution, PromptTemplate, parse_conversation
 
 from conftest import FakeLlm, make_image
 
@@ -66,29 +66,30 @@ class TestStoppingCriteria:
         assert stopping_criteria(ctx_of_chars([150]), ctx_of_chars([1000]), P) is False
 
 
-class TestGenerateTurn:
-    def test_scripted_parse(self):
-        template, _ = single_template()
-        llm = FakeLlm(rules=[("TASK single turn", "Human: Hi\nAssistant: Hello")])
-        turn, attempts = generate_turn(ctx_of_chars([200]), template, llm, P)
-        assert (turn.human, turn.assistant) == ("Hi", "Hello")
-        assert attempts == 1
+def pairs_or_none(reply):
+    return parse_conversation(reply) or None
 
-    def test_garbage_three_times_fails(self):
-        template, _ = single_template()
-        llm = FakeLlm(rules=[("TASK single turn", "no markers at all")])
-        with pytest.raises(GenerationFailed):
-            generate_turn(ctx_of_chars([200]), template, llm, P)
+
+class TestAsk:
+    def test_parsed_reply_after_one_call(self):
+        llm = FakeLlm(rules=[("TASK", "Human: Hi\nAssistant: Hello")])
+        assert ask(llm, "TASK", "generate", pairs_or_none, attempts=3) == ([("Hi", "Hello")], 1)
+        assert llm.calls == [("generate", "TASK")]
+
+    def test_none_after_exactly_attempts_calls(self):
+        llm = FakeLlm(rules=[("TASK", "no markers at all")])
+        assert ask(llm, "TASK", "generate", pairs_or_none, attempts=3) == (None, 3)
         assert len(llm.calls) == 3
 
-    def test_garbage_once_then_valid_records_retry(self):
-        template, _ = single_template()
-        llm = FakeLlm(
-            rules=[("TASK single turn", ["garbage", "Human: q\nAssistant: a"])]
-        )
-        turn, attempts = generate_turn(ctx_of_chars([200]), template, llm, P)
-        assert attempts == 2
-        assert turn.assistant == "a"
+    def test_garbage_then_valid_costs_two_calls(self):
+        llm = FakeLlm(rules=[("TASK", ["garbage", "Human: q\nAssistant: a"])])
+        assert ask(llm, "TASK", "generate", pairs_or_none, attempts=3) == ([("q", "a")], 2)
+        assert len(llm.calls) == 2
+
+    def test_false_is_an_answer_not_a_retry(self):
+        llm = FakeLlm(rules=[("Answer yes or no", ["No.", "Yes."])])
+        assert ask(llm, "Answer yes or no", "verify", parse_yes_no, attempts=3) == (False, 1)
+        assert len(llm.calls) == 1
 
 
 class TestVerifyTurn:
@@ -328,6 +329,79 @@ class TestGenerateConversation:
         llm = FakeLlm(rules=[("TASK single turn", "never parseable")] + staged_rules()[1:])
         with pytest.raises(NoTurnsGenerated):
             generate_conversation(ctx, dist, P, llm, rng_seed=1)
+
+
+def two_templates():
+    """alpha and beta at equal weight: rng seed 1 draws alpha, then beta;
+    seed 7 draws alpha, alpha, then beta."""
+    templates = {
+        tid: PromptTemplate(template_id=tid, body=f"TASK {tid}\n{{context}}")
+        for tid in ("alpha", "beta")
+    }
+    return PromptDistribution(entries=(("alpha", 1.0), ("beta", 1.0)), templates=templates)
+
+
+def alpha_rejected_llm(alpha_reply="Human: Q?\nAssistant: from-alpha"):
+    """Every alpha turn fails (verify says no, or the reply never parses);
+    beta turns pass, and one reduce call consumes the whole context."""
+    return FakeLlm(
+        rules=[
+            ("TASK alpha", alpha_reply),
+            ("TASK beta", "Human: Q?\nAssistant: from-beta"),
+            ("Answer yes or no", lambda p: "No." if "from-alpha" in p else "Yes."),
+            ("numbers of the covered facts", ", ".join(str(i) for i in range(1, 11))),
+        ]
+    )
+
+
+def stage_templates(llm):
+    """(stage, template) per call; the template is read from the prompt."""
+    return [
+        (stage, "alpha" if "alpha" in prompt else "beta" if "beta" in prompt else None)
+        for stage, prompt in llm.calls
+    ]
+
+
+class TestStagedTemplateRedraw:
+    def test_redraw_after_verify_rejects_every_regeneration(self):
+        llm = alpha_rejected_llm()
+        conv = generate_conversation(ctx_of_chars([100] * 10), two_templates(), P, llm, rng_seed=1)
+        assert stage_templates(llm) == (
+            [("generate", "alpha"), ("verify", "alpha")] * P.max_retries
+            + [("generate", "beta"), ("verify", "beta"), ("reduce", "beta")]
+        )
+        assert [t.template_id for t in conv.turns] == ["beta"]
+        prov = conv.provenance
+        assert prov["turn_attempts"] == [P.max_retries + 1]
+        assert prov["retries_total"] == P.max_retries
+        assert prov["templates_used"] == ["beta"]
+        assert prov["iterations"] == 1
+
+    def test_redraw_after_unparseable_replies(self):
+        # replies that never parse cost max_retries calls and end the template's rounds
+        llm = alpha_rejected_llm(alpha_reply="no markers at all")
+        conv = generate_conversation(ctx_of_chars([100] * 10), two_templates(), P, llm, rng_seed=1)
+        assert stage_templates(llm) == (
+            [("generate", "alpha")] * P.max_retries
+            + [("generate", "beta"), ("verify", "beta"), ("reduce", "beta")]
+        )
+        assert conv.provenance["turn_attempts"] == [P.max_retries + 1]
+        assert conv.provenance["retries_total"] == P.max_retries
+
+    def test_redraw_of_the_same_template_ends_the_stage(self):
+        llm = alpha_rejected_llm()
+        conv = generate_conversation(ctx_of_chars([100] * 10), two_templates(), P, llm, rng_seed=7)
+        # stage 1: alpha, then alpha again, so no fourth alpha round;
+        # stage 2 draws beta
+        assert stage_templates(llm) == (
+            [("generate", "alpha"), ("verify", "alpha")] * P.max_retries
+            + [("generate", "beta"), ("verify", "beta"), ("reduce", "beta")]
+        )
+        prov = conv.provenance
+        assert prov["iterations"] == 2
+        assert prov["turn_attempts"] == [1]
+        assert prov["retries_total"] == P.max_retries - 1
+        assert prov["templates_used"] == ["beta"]
 
 
 class TestGenerateConversationDirect:
