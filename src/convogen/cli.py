@@ -96,7 +96,8 @@ def _cmd_run(args) -> int:
 def _cmd_tree(args) -> int:
     """Render the tree ``run`` builds: the record goes through the same
     ingest (sidecars, mask checks, clamping), and its warnings go to stderr.
-    Lines that are not JSON objects are skipped."""
+    Lines that are not JSON objects are skipped; a selected record that
+    ingest rejects is a config error naming its line."""
     params = SceneTreeParams()
     if args.config:
         params = load_config(args.config, check_paths=False).scene
@@ -117,7 +118,12 @@ def _cmd_tree(args) -> int:
                 continue
             if args.image_id is not None and str(record.get("image_id")) != args.image_id:
                 continue
-            bundle = load_bundle(record, warn, base_dir=base_dir)
+            try:
+                bundle = load_bundle(record, warn, base_dir=base_dir)
+            except Exception as exc:  # whatever ingest raises, as in load_manifest
+                raise ConfigError(
+                    f"manifest {args.manifest}, line {index + 1}: unparseable record: {exc!r}"
+                ) from exc
             _, ascii_tree = build_scene_tree(list(bundle.boxes), bundle.image, params)
             print(f"# {bundle.image.uri} ({bundle.image.width}x{bundle.image.height})")
             print(ascii_tree if ascii_tree else "(no regions)")

@@ -4,19 +4,32 @@ loop for model replies that do not parse.
 Concurrency is bounded with a semaphore shared by all worker threads;
 transient failures (connection errors, 429/5xx) are retried with
 deterministic exponential backoff. Usage is accounted per pipeline stage.
+
+The transport is the standard library's ``http.client`` on a pool of
+keep-alive connections owned by the gateway, not by a thread: a call takes
+an idle connection (or opens one) inside the semaphore and puts it back
+after reading the whole response, so the pool never holds more than
+``max_in_flight`` connections and outlives the thread pools that use it.
+A pooled connection the server closed while it sat idle fails before any
+response arrives (``RemoteDisconnected``, ``BrokenPipeError``,
+``ConnectionResetError``); the request is then sent once more, at once, on
+a fresh connection, and that is not a retry (RFC 9112 section 9.3.1). Any
+other transport failure, on a fresh connection included, spends the retry
+budget. The gateway connects straight to ``endpoint_url``; proxy settings
+in the environment are not read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import LlmUnavailable, ProtocolError
 
@@ -25,6 +38,11 @@ ROLES = {"system", "user", "assistant"}
 
 ENV_ENDPOINT = "CONVOGEN_ENDPOINT_URL"
 ENV_API_KEY = "CONVOGEN_API_KEY"
+
+# how a kept-alive connection that the server has closed fails
+# (RemoteDisconnected is a ConnectionResetError)
+STALE_CONNECTION = (BrokenPipeError, ConnectionResetError)
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 def request_digest(messages: list[dict]) -> str:
@@ -100,6 +118,15 @@ class GatewayConfig:
         return out
 
 
+def _endpoint(url: str) -> tuple[type, str, Optional[int], str]:
+    """(connection class, host, port, base path) of an http(s) URL."""
+    parts = urlsplit(url.rstrip("/"))
+    classes = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+    if parts.scheme not in classes or not parts.hostname:
+        raise ValueError(f"not an http(s) endpoint: {url!r}")
+    return classes[parts.scheme], parts.hostname, parts.port, parts.path
+
+
 def backoff_delays_s(base_ms: int, retries: int) -> list[float]:
     """Deterministic, non-decreasing exponential backoff schedule."""
     return [base_ms * (2 ** attempt) / 1000.0 for attempt in range(retries)]
@@ -110,11 +137,12 @@ class LlmGateway:
 
     def __init__(self, cfg: GatewayConfig):
         self.cfg = cfg
-        self._session = requests.Session()
-        adapter = requests.adapters.HTTPAdapter(
-            pool_connections=4, pool_maxsize=max(10, cfg.max_in_flight)
+        self._url = cfg.endpoint_url.rstrip("/") + "/v1/chat/completions"
+        self._connection_class, self._host, self._port, base_path = _endpoint(
+            cfg.endpoint_url
         )
-        self._session.mount("http://", adapter)
+        self._path = base_path + "/v1/chat/completions"
+        self._idle: list[http.client.HTTPConnection] = []
         self._sem = threading.BoundedSemaphore(cfg.max_in_flight)
         self._lock = threading.Lock()
         self._in_flight = 0
@@ -150,6 +178,41 @@ class LlmGateway:
                 "stages": {k: dict(v) for k, v in self._metrics["stages"].items()},
             }
 
+    def close(self) -> None:
+        """Close the idle connections; a later call opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _exchange(
+        self, conn: http.client.HTTPConnection, body: bytes, headers: dict
+    ) -> tuple[int, bytes]:
+        """One request and its whole response; the connection goes back to
+        the pool if it is still open, and is closed on any failure."""
+        try:
+            conn.request("POST", self._path, body, headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if conn.sock is not None:  # http.client closes it on "Connection: close"
+            with self._lock:
+                self._idle.append(conn)
+        return resp.status, data
+
+    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            try:
+                return self._exchange(conn, body, headers)
+            except STALE_CONNECTION:
+                pass  # closed while idle: once more on a fresh connection
+        fresh = self._connection_class(self._host, self._port, timeout=self.cfg.timeout_s)
+        return self._exchange(fresh, body, headers)
+
     def _parse(self, body: bytes) -> tuple[str, Usage]:
         try:
             data = json.loads(body)
@@ -166,7 +229,6 @@ class LlmGateway:
 
     def chat(self, req: ChatRequest, stage: str = "default") -> ChatResponse:
         cfg = self.cfg
-        url = cfg.endpoint_url.rstrip("/") + "/v1/chat/completions"
         payload = {
             "model": req.model,
             "messages": req.messages,
@@ -175,7 +237,8 @@ class LlmGateway:
         }
         if req.seed is not None:
             payload["seed"] = req.seed
-        headers = {}
+        body = json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
         if cfg.api_key:
             headers["Authorization"] = f"Bearer {cfg.api_key}"
         delays = backoff_delays_s(cfg.backoff_base_ms, cfg.retry_budget)
@@ -191,29 +254,26 @@ class LlmGateway:
                 while True:
                     failure = None
                     try:
-                        resp = self._session.post(
-                            url, json=payload, headers=headers, timeout=cfg.timeout_s
-                        )
-                    except requests.RequestException as exc:
-                        failure = f"transport error: {exc}"
+                        status, data = self._post(body, headers)
+                    except TRANSPORT_ERRORS as exc:
+                        failure = f"transport error: {exc!r}"
                     else:
-                        if resp.status_code == 200:
-                            content, usage = self._parse(resp.content)
+                        if status == 200:
+                            content, usage = self._parse(data)
                             latency_ms = int((time.monotonic() - started) * 1000)
                             self._record(stage, usage, latency_ms, attempt)
                             return ChatResponse(
                                 content=content, usage=usage, latency_ms=latency_ms
                             )
-                        if resp.status_code in TRANSIENT_STATUSES:
-                            failure = f"HTTP {resp.status_code}"
+                        if status in TRANSIENT_STATUSES:
+                            failure = f"HTTP {status}"
                         else:
-                            raise ProtocolError(
-                                f"HTTP {resp.status_code}: {resp.text[:200]}"
-                            )
+                            text = data.decode("utf-8", errors="replace")
+                            raise ProtocolError(f"HTTP {status}: {text[:200]}")
                     if attempt >= cfg.retry_budget:
                         self._record(stage, Usage(), 0, attempt)
                         raise LlmUnavailable(
-                            f"{failure} after {attempt} retries against {url}"
+                            f"{failure} after {attempt} retries against {self._url}"
                         )
                     time.sleep(delays[attempt])
                     attempt += 1
@@ -263,7 +323,13 @@ def ask(
 def probe_endpoint(endpoint_url: str, timeout_s: float = 5.0) -> bool:
     """True when something answers HTTP at the endpoint (any status)."""
     try:
-        requests.get(endpoint_url.rstrip("/") + "/", timeout=timeout_s)
+        connection_class, host, port, base_path = _endpoint(endpoint_url)
+        conn = connection_class(host, port, timeout=timeout_s)
+        try:
+            conn.request("GET", base_path + "/")
+            conn.getresponse().read()
+        finally:
+            conn.close()
         return True
-    except requests.RequestException:
+    except (ValueError, *TRANSPORT_ERRORS):
         return False

@@ -341,6 +341,7 @@ def run_pipeline(
         raise ConfigError(f"no shard files under {shard_dir}")
 
     server = None
+    gateway = None
     gateway_cfg = cfg.gateway
     try:
         if cfg.gateway.mode == "scripted":
@@ -411,5 +412,7 @@ def run_pipeline(
         )
         return summary
     finally:
+        if gateway is not None:
+            gateway.close()
         if server is not None:
             server.stop()

@@ -114,6 +114,8 @@ class _Rule:
             raise ValueError(f"unknown program {self.program!r}")
         if "responses" in spec:
             self.entries = list(spec["responses"])
+            if not self.entries:
+                raise ValueError("responses must be non-empty")
         elif "response" in spec:
             self.entries = [spec["response"]]
         elif "status" in spec:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,7 @@ from convogen.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXI
 from convogen.metadata import record_line
 from convogen.sharding import plan_shards
 
-from conftest import PROMPTS_DIR
+from conftest import PROMPTS_DIR, REPO_ROOT
 from test_pipeline import rich_record, write_fixture_manifest
 
 
@@ -104,6 +107,14 @@ class TestTree:
         captured = capsys.readouterr()
         assert "lamp" in captured.out and "chair" in captured.out
         assert "invalid mask on box 'lamp', mask dropped" in captured.err
+
+
+    @pytest.mark.parametrize("select", [["--index", "1"], ["--image-id", "0001"]])
+    def test_record_ingest_rejects_exits_two_naming_the_line(self, tmp_path, capsys, select):
+        manifest = write_bad_lines_manifest(tmp_path / "m.jsonl")  # line 2: bbox null
+        assert main(["tree", "--manifest", str(manifest), *select]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "line 2" in err
 
 
 def write_bad_input(tmp_path, flag: str, kind: str) -> Path:
@@ -283,6 +294,26 @@ class TestRun:
         assert main(["run", "--config", str(config), "--worker-id", "cli-w"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "4 conversations" in out
+
+    def test_run_imports_no_third_party_http_client(self, tmp_path):
+        # the gateway is on http.client; a fresh interpreter shows what a
+        # whole run imports
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 2)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        config = write_config(tmp_path, manifest)
+        code = (
+            "import sys\n"
+            "from convogen.cli import main\n"
+            f"assert main(['run', '--config', {str(config)!r}]) == 0\n"
+            "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))\n"
+        )
+        env = dict(os.environ)
+        paths = (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_feature_flag_override(self, tmp_path):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 2)

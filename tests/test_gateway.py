@@ -1,16 +1,20 @@
+import http.client
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
 from convogen import scripted_server
-from convogen.errors import LlmUnavailable, ProtocolError
+from convogen.errors import ConfigError, LlmUnavailable, ProtocolError
 from convogen.gateway import (
     ChatRequest,
     GatewayConfig,
     LlmGateway,
+    _endpoint,
     backoff_delays_s,
+    probe_endpoint,
     request_digest,
 )
 from convogen.scripted_server import PROGRAMS, ScriptedLlmServer, load_fixture_file
@@ -20,6 +24,9 @@ def make_request(content="hello", model="m"):
     return ChatRequest(model=model, messages=[{"role": "user", "content": content}])
 
 
+_opened: list[LlmGateway] = []
+
+
 def gateway_for(server, **overrides):
     cfg = GatewayConfig(
         endpoint_url=server.url,
@@ -27,7 +34,58 @@ def gateway_for(server, **overrides):
         backoff_base_ms=1,
         **overrides,
     )
-    return LlmGateway(cfg)
+    gateway = LlmGateway(cfg)
+    _opened.append(gateway)
+    return gateway
+
+
+@pytest.fixture(autouse=True)
+def close_gateways():
+    """Close what ``gateway_for`` opened, so no test leaks a socket."""
+    yield
+    while _opened:
+        _opened.pop().close()
+
+
+def closed_port_url() -> str:
+    """An endpoint URL on a local port nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+class ConnectionLog:
+    """Counts the TCP connections a ``ScriptedLlmServer`` accepts and the
+    ones it has seen end, by wrapping ``_Handler.setup`` and ``finish``."""
+
+    def __init__(self, monkeypatch):
+        self.accepted = 0
+        self.ended = 0
+        self._lock = threading.Lock()
+        setup, finish = scripted_server._Handler.setup, scripted_server._Handler.finish
+
+        def counting_setup(handler):
+            with self._lock:
+                self.accepted += 1
+            setup(handler)
+
+        def counting_finish(handler):
+            finish(handler)
+            with self._lock:
+                self.ended += 1
+
+        monkeypatch.setattr(scripted_server._Handler, "setup", counting_setup)
+        monkeypatch.setattr(scripted_server._Handler, "finish", counting_finish)
+
+    def wait_all_ended(self, timeout_s: float = 5.0) -> bool:
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            with self._lock:
+                if self.ended == self.accepted:
+                    return True
+            time.sleep(0.01)
+        return False
 
 
 class TestChatRequest:
@@ -158,6 +216,131 @@ class TestScriptedServer:
         assert got == ["a", "b", "b", "b"]
 
 
+class TestTransport:
+    def test_server_closing_after_every_response(self, monkeypatch):
+        # an HTTP/1.0 handler ends the connection after each response
+        monkeypatch.setattr(scripted_server._Handler, "protocol_version", "HTTP/1.0")
+        connections = ConnectionLog(monkeypatch)
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+            gw = gateway_for(server)
+            got = [gw.chat(make_request(f"call {i}")).content for i in range(5)]
+        assert got == [f"call {i}" for i in range(5)]
+        assert gw.metrics_snapshot()["retries"] == 0
+        assert connections.accepted == 5
+
+    def test_idle_connection_closed_by_server_is_resent_not_retried(self, monkeypatch):
+        # the server keeps announcing keep-alive but drops the socket after
+        # each response, so every pooled connection is stale when reused
+        do_post = scripted_server._Handler.do_POST
+
+        def post_then_drop(handler):
+            do_post(handler)
+            handler.close_connection = True
+
+        monkeypatch.setattr(scripted_server._Handler, "do_POST", post_then_drop)
+        connections = ConnectionLog(monkeypatch)
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+            gw = gateway_for(server)
+            got = []
+            for i in range(5):
+                got.append(gw.chat(make_request(f"call {i}")).content)
+                assert connections.wait_all_ended()  # the pooled socket is now dead
+        assert got == [f"call {i}" for i in range(5)]
+        metrics = gw.metrics_snapshot()
+        assert metrics["requests"] == 5 and metrics["retries"] == 0
+        assert connections.accepted == 5
+
+    def test_failure_on_a_fresh_connection_spends_the_budget(self, monkeypatch):
+        # a dropped request on a new connection is a transport failure:
+        # one connection per attempt, and no free resend
+        def drop(handler):
+            handler.rfile.read(int(handler.headers["Content-Length"]))
+            handler.close_connection = True
+
+        monkeypatch.setattr(scripted_server._Handler, "do_POST", drop)
+        connections = ConnectionLog(monkeypatch)
+        with ScriptedLlmServer(fixtures=[]) as server:
+            gw = gateway_for(server, retry_budget=2)
+            with pytest.raises(LlmUnavailable, match="transport error"):
+                gw.chat(make_request("dropped"))
+        assert gw.metrics_snapshot()["max_retries_single_request"] == 2
+        assert connections.accepted == 3
+
+    def test_bearer_auth_reaches_the_server(self, monkeypatch):
+        seen = []
+        do_post = scripted_server._Handler.do_POST
+
+        def recording_post(handler):
+            seen.append(handler.headers.get("Authorization"))
+            do_post(handler)
+
+        monkeypatch.setattr(scripted_server._Handler, "do_POST", recording_post)
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+            gateway_for(server, api_key="sk-test").chat(make_request("one"))
+            gateway_for(server).chat(make_request("two"))
+        assert seen == ["Bearer sk-test", None]
+
+    def test_refused_port_is_unavailable_after_the_budget(self):
+        gw = LlmGateway(GatewayConfig(endpoint_url=closed_port_url(), retry_budget=2,
+                                      backoff_base_ms=1))
+        with pytest.raises(LlmUnavailable, match="after 2 retries"):
+            gw.chat(make_request("anyone there"))
+        metrics = gw.metrics_snapshot()
+        assert metrics["retries"] == 2 and metrics["max_retries_single_request"] == 2
+
+    def test_probe_endpoint(self):
+        with ScriptedLlmServer(fixtures=[]) as server:
+            assert probe_endpoint(server.url)
+        assert not probe_endpoint(closed_port_url(), timeout_s=1.0)
+        assert not probe_endpoint("ftp://127.0.0.1/", timeout_s=1.0)
+
+    def test_shared_pool_under_thread_churn_then_close(self, monkeypatch):
+        # 16 threads share at most 4 pooled connections; a connection handed
+        # to two threads at once would cross their replies
+        connections = ConnectionLog(monkeypatch)
+        replies = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+                gw = gateway_for(server, max_in_flight=4)
+
+                def worker(i):
+                    replies[i] = [gw.chat(make_request(f"req {i}.{k}")).content
+                                  for k in range(10)]
+
+                threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert replies == {i: [f"req {i}.{k}" for k in range(10)] for i in range(16)}
+                assert 1 <= connections.accepted <= 4
+                assert not connections.wait_all_ended(timeout_s=0.1)  # kept alive
+                gw.close()
+                assert connections.wait_all_ended()
+                # a call after close opens a new connection
+                assert gw.chat(make_request("again")).content == "again"
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "url, expected",
+        [
+            ("http://127.0.0.1:8000", (http.client.HTTPConnection, "127.0.0.1", 8000, "")),
+            ("https://models.example/v2/",
+             (http.client.HTTPSConnection, "models.example", None, "/v2")),
+        ],
+    )
+    def test_endpoint_parts(self, url, expected):
+        assert _endpoint(url) == expected
+
+    def test_endpoint_needs_http_scheme(self):
+        with pytest.raises(ValueError):
+            _endpoint("ftp://127.0.0.1:8000")
+
+
 class TestBackoff:
     def test_delays_non_decreasing_and_exponential(self):
         delays = backoff_delays_s(50, 4)
@@ -206,3 +389,10 @@ class TestFixtureFile:
         rules = load_fixture_file(path)
         assert len(rules) == 2
         assert rules[0]["digest"] == "abc"
+
+    def test_empty_responses_is_a_config_error(self, tmp_path):
+        # a rule with no responses matches and then has nothing to serve
+        path = tmp_path / "fixtures.jsonl"
+        path.write_text('{"digest": "abc", "response": "hi"}\n{"digest": "a", "responses": []}\n')
+        with pytest.raises(ConfigError, match=r"fixtures\.jsonl, line 2: .*responses"):
+            load_fixture_file(path)

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from convogen import pipeline
 from convogen.config import FeatureFlags, PipelineConfig
 from convogen.context import ORIGIN_CAPTION, ContextSet, make_sentence
-from convogen.gateway import GatewayConfig
+from convogen.gateway import GatewayConfig, LlmGateway
 from convogen.generation import Conversation, Turn
 from convogen.metadata import record_line
 from convogen.pipeline import (
@@ -20,6 +21,7 @@ from convogen.sharding import plan_shards
 
 from conftest import PROMPTS_DIR, make_image
 from killed_worker import KILL_POINTS, assert_same_as_clean, run_killed_worker
+from test_gateway import ConnectionLog
 
 
 def rich_record(i: int) -> dict:
@@ -150,6 +152,25 @@ class TestRunPipeline:
         assert summary["errors"] == 0
         for line in out_lines:
             assert validate_conversation_record(json.loads(line)) == []
+
+    def test_connections_outlive_shards_and_close_with_the_run(self, tmp_path, monkeypatch):
+        # each shard gets a new thread pool; the gateway's connections are
+        # the same ones, and the run closes them before it returns
+        connections = ConnectionLog(monkeypatch)
+        gateways = []
+
+        class KeptGateway(LlmGateway):  # held here, so garbage collection closes nothing
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                gateways.append(self)
+
+        monkeypatch.setattr(pipeline, "LlmGateway", KeptGateway)
+        cfg = scripted_config(tmp_path, n=9, shards=3)
+        summary = run_pipeline(cfg, worker_id="w1")
+        assert len(summary["shards"]) == 3 and summary["conversations"] == 9
+        assert len(gateways) == 1
+        assert 1 <= connections.accepted <= cfg.parallelism
+        assert connections.wait_all_ended()
 
     def test_direct_generation_path(self, tmp_path):
         cfg = scripted_config(tmp_path, n=4, features=FeatureFlags(False, False, False))
