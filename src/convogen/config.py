@@ -71,8 +71,10 @@ _NESTED = {
 
 
 def build_section(cls, data: dict):
-    """One dataclass from a JSON object; unknown or missing keys and
-    rejected values are config errors."""
+    """One dataclass from a JSON object; a value that is not an object,
+    unknown or missing keys and rejected values are config errors."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {data!r}")
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
@@ -84,18 +86,10 @@ def build_section(cls, data: dict):
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(data)
+    cfg = build_section(PipelineConfig, data)
     for name, cls in _NESTED.items():
-        if name in kwargs:
-            kwargs[name] = build_section(cls, kwargs[name])
-    try:
-        cfg = PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+        if name in data:
+            setattr(cfg, name, build_section(cls, data[name]))
     if cfg.reduce_mode not in ("llm", "lexical"):
         raise ConfigError(f"bad reduce_mode {cfg.reduce_mode!r}")
     cfg.gateway = cfg.gateway.with_env_overrides()

@@ -27,7 +27,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 from urllib.parse import urlsplit
 
@@ -110,12 +110,11 @@ class GatewayConfig:
 
     def with_env_overrides(self) -> "GatewayConfig":
         """Environment overrides credentials/endpoint only."""
-        endpoint = os.environ.get(ENV_ENDPOINT, self.endpoint_url)
-        api_key = os.environ.get(ENV_API_KEY, self.api_key)
-        out = GatewayConfig(**{**self.__dict__})
-        out.endpoint_url = endpoint
-        out.api_key = api_key
-        return out
+        return replace(
+            self,
+            endpoint_url=os.environ.get(ENV_ENDPOINT, self.endpoint_url),
+            api_key=os.environ.get(ENV_API_KEY, self.api_key),
+        )
 
 
 def _endpoint(url: str) -> tuple[type, str, Optional[int], str]:
@@ -281,21 +280,11 @@ class LlmGateway:
                 with self._lock:
                     self._in_flight -= 1
 
-    def complete(
-        self,
-        prompt: str,
-        system: Optional[str] = None,
-        stage: str = "default",
-        seed: Optional[int] = None,
-    ) -> str:
+    def complete(self, prompt: str, stage: str = "default", seed: Optional[int] = None) -> str:
         """One-shot convenience wrapper returning the reply text."""
-        messages = []
-        if system:
-            messages.append({"role": "system", "content": system})
-        messages.append({"role": "user", "content": prompt})
         req = ChatRequest(
             model=self.cfg.model,
-            messages=messages,
+            messages=[{"role": "user", "content": prompt}],
             temperature=self.cfg.temperature,
             max_tokens=self.cfg.max_tokens,
             seed=seed,

@@ -192,23 +192,19 @@ def reduce_context(
     return S_i.without(valid)
 
 
-def quality_filter(
-    turn: Turn, S_full: ContextSet, llm, p: GenerationParams
-) -> tuple[bool, str]:
+def quality_filter(turn: Turn, S_full: ContextSet, llm) -> tuple[bool, str]:
     """(keep, verdict text); an unparseable verdict keeps the turn so the
     filter can never silently destroy data."""
     reply = llm.complete(_turn_prompt(FILTER_PROMPT, S_full, turn), stage="filter")
     return parse_keep_drop(reply) is not False, reply.strip()
 
 
-def _passes_filter(
-    turn: Turn, S: ContextSet, llm, p: GenerationParams, prov: dict, filtering: bool
-) -> bool:
+def _passes_filter(turn: Turn, S: ContextSet, llm, prov: dict, filtering: bool) -> bool:
     """Apply the quality filter when ``filtering`` is on; a dropped turn is
     recorded in the provenance under its iteration."""
     if not filtering:
         return True
-    kept, verdict = quality_filter(turn, S, llm, p)
+    kept, verdict = quality_filter(turn, S, llm)
     if not kept:
         prov["filtered_turns"].append(
             {"iteration": turn.iteration, "template_id": turn.template_id, "verdict": verdict}
@@ -295,7 +291,7 @@ def generate_conversation(
             continue
         prov["templates_used"].append(turn.template_id)
         prov["turn_attempts"].append(calls)
-        if _passes_filter(turn, S, llm, p, prov, filtering):
+        if _passes_filter(turn, S, llm, prov, filtering):
             turns.append(turn)
         # covered information is consumed even when the filter dropped the
         # turn, otherwise a deterministic model would regenerate it forever
@@ -335,7 +331,7 @@ def generate_conversation_direct(
     turns: list[Turn] = []
     for i, (human, assistant) in enumerate(pairs[: p.max_turns]):
         turn = Turn(human, assistant, template.template_id, i)
-        if verify_turn(turn, S, llm, p) and _passes_filter(turn, S, llm, p, prov, filtering):
+        if verify_turn(turn, S, llm, p) and _passes_filter(turn, S, llm, prov, filtering):
             turns.append(turn)
     prov["iterations"] = 1
     prov["turn_attempts"] = [attempts]

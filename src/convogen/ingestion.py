@@ -65,8 +65,8 @@ class DatasetRegistry:
     def __init__(self):
         self._by_id: dict[str, DatasetDescriptor] = {}
 
-    def register(self, desc: DatasetDescriptor, check_manifest: bool = True) -> "DatasetRegistry":
-        if check_manifest and not Path(desc.manifest_path).exists():
+    def register(self, desc: DatasetDescriptor) -> "DatasetRegistry":
+        if not Path(desc.manifest_path).exists():
             raise ConfigError(f"manifest not found: {desc.manifest_path}")
         existing = self._by_id.get(desc.dataset_id)
         if existing is not None:
@@ -77,9 +77,6 @@ class DatasetRegistry:
             )
         self._by_id[desc.dataset_id] = desc
         return self
-
-    def get(self, dataset_id: str) -> Optional[DatasetDescriptor]:
-        return self._by_id.get(dataset_id)
 
     def namespace_for(self, dataset_id: str) -> str:
         desc = self._by_id.get(dataset_id)

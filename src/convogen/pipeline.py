@@ -14,6 +14,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, TextIO
@@ -112,46 +113,42 @@ class _ErrorLog:
                 fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-def _read_done_ids(path: Path) -> set[str]:
-    done = set()
-    if path.exists():
-        with open(path, encoding="utf-8") as fh:
+def _recover(conv_path: Path, tree_path: Path) -> set[str]:
+    """Make a shard's outputs whole after a crash; returns the committed ids.
+
+    Each file is read once. A crash mid-append leaves a final line without
+    its newline: it is cut, so the next append starts a fresh line. A crash
+    between a commit's two appends leaves a final tree line whose
+    conversation was never appended, and only one: it is cut too.
+    """
+    done: set[str] = set()
+    for path in (conv_path, tree_path):
+        if not path.exists():
+            continue
+        with open(path, "rb+") as fh:
+            start = end = 0  # offsets of the last whole line
+            last = b""
             for line in fh:
-                if line.strip():
+                if not line.endswith(b"\n"):
+                    break  # torn; only the final line can be
+                start, end, last = end, end + len(line), line
+                if path is conv_path:
                     try:
                         done.add(json.loads(line)["id"])
                     except (ValueError, KeyError):
                         continue
+            if path is tree_path and last and json.loads(last)["id"] not in done:
+                end = start
+            if end < fh.tell():
+                fh.truncate(end)
     return done
-
-
-def _truncate_torn_tail(path: Path) -> None:
-    """Cut a final line left without its newline by a crash mid-append, so
-    the next append starts a fresh line instead of gluing onto it."""
-    if not path.exists():
-        return
-    with open(path, "rb+") as fh:
-        whole = sum(len(line) for line in fh if line.endswith(b"\n"))
-        if whole < fh.tell():
-            fh.truncate(whole)
-
-
-def _truncate_uncommitted_tree(path: Path, done_ids: set[str]) -> None:
-    """Cut a final tree line whose conversation was never appended: a crash
-    between a commit's two appends leaves one, and only one."""
-    if not path.exists():
-        return
-    with open(path, "rb+") as fh:
-        start, last = 0, b""
-        for line in fh:
-            start, last = start + len(last), line
-        if last and json.loads(last)["id"] not in done_ids:
-            fh.truncate(start)
 
 
 def _process_image(
     record: dict,
     key: str,
+    seed: int,
+    conv_id: str,
     cfg: PipelineConfig,
     dist: PromptDistribution,
     gateway: LlmGateway,
@@ -202,7 +199,6 @@ def _process_image(
             return None, None, timings
 
         stage, t0 = "generate", time.monotonic()
-        seed = image_seed(cfg.rng_seed, key)
         filtering = cfg.features.filtering
         if cfg.features.reduction:
             conv = generate_conversation(
@@ -214,7 +210,7 @@ def _process_image(
                 ctx, dist, cfg.generation, gateway, seed, filtering=filtering
             )
         timings["generate"] = time.monotonic() - t0
-        conv.provenance["id"] = f"{key}-{seed}"
+        conv.provenance["id"] = conv_id
         conv.provenance["link_key"] = key
         conv.provenance["image_ref"] = {
             "dataset": bundle.image.dataset_id,
@@ -235,74 +231,57 @@ def process_shard(
     gateway: LlmGateway,
     dist: PromptDistribution,
     claim: ShardClaim,
-) -> dict:
-    """Process one claimed shard; returns its stats.
+    summary: dict,
+) -> None:
+    """Process one claimed shard, adding its counts into ``summary``.
 
     Every commit first checks that ``claim`` is still the shard's newest
     generation; once another worker has taken the shard over, nothing more
-    is written and the stats say ``lost``. A commit appends the image's tree
-    line and then its conversation line, so the conversation line is the
-    commit record: resume skips images with a conversation and cuts a
-    final tree line that has none.
+    is written and the shard goes on ``lost_shards``. A commit appends the
+    image's tree line and then its conversation line, so the conversation
+    line is the commit record: resume skips images with a conversation and
+    cuts a final tree line that has none.
     """
     shard = load_shard(shard_path)
     shard_id = shard["shard_id"]
+    summary["shards"].append(shard_id)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     conv_path = out_dir / f"conversations_shard_{shard_id:05d}.jsonl"
     tree_path = out_dir / f"trees_shard_{shard_id:05d}.jsonl"
     errors = _ErrorLog(out_dir / "errors.jsonl", shard_id, claim.worker_id)
-    done_ids = _read_done_ids(conv_path)
+    done = _recover(conv_path, tree_path)
 
     manifest_dir = Path(shard["manifest"]).resolve().parent
-    records: list[tuple[str, dict]] = []
+    pending: list[tuple[dict, str, int, str]] = []
     with open(shard["manifest"], encoding="utf-8") as fh:
         for offset, key in zip(shard["offsets"], shard["keys"]):
+            seed = image_seed(cfg.rng_seed, key)
+            conv_id = f"{key}-{seed}"
+            if conv_id in done:
+                summary["resumed"] += 1
+                continue
             fh.seek(offset)
-            records.append((key, json.loads(fh.readline())))
+            pending.append((json.loads(fh.readline()), key, seed, conv_id))
 
-    stats = {
-        "shard_id": shard_id,
-        "images": 0,
-        "conversations": 0,
-        "turns": 0,
-        "resumed": 0,
-        "errors": 0,
-        "stage_s": {stage: 0.0 for stage in STAGES},
-        "lost": False,
-    }
-
-    _truncate_torn_tail(conv_path)
-    _truncate_torn_tail(tree_path)
-    _truncate_uncommitted_tree(tree_path, done_ids)
-    pending: list[tuple[str, dict]] = []
-    for key, record in records:
-        conv_id = f"{key}-{image_seed(cfg.rng_seed, key)}"
-        if conv_id in done_ids:
-            stats["resumed"] += 1
-            continue
-        pending.append((key, record))
-
+    stage_s = summary["stage_s"]
     with open(conv_path, "a", encoding="utf-8") as conv_out, open(
         tree_path, "a", encoding="utf-8"
     ) as tree_out:
         with ThreadPoolExecutor(max_workers=max(1, cfg.parallelism)) as pool:
             futures = [
-                pool.submit(
-                    _process_image, record, key, cfg, dist, gateway, errors, manifest_dir
-                )
-                for key, record in pending
+                pool.submit(_process_image, *image, cfg, dist, gateway, errors, manifest_dir)
+                for image in pending
             ]
             # commit strictly in manifest order for byte-stable outputs
             for future in futures:
                 conv, tree_text, timings = future.result()
-                stats["images"] += 1
+                summary["images"] += 1
                 for stage, seconds in timings.items():
-                    stats["stage_s"][stage] += seconds
+                    stage_s[stage] += seconds
                 if conv is None:
                     continue
                 if not claim.is_current():
-                    stats["lost"] = True
+                    summary["lost_shards"].append(shard_id)
                     break
                 t0 = time.monotonic()
                 if tree_text is not None:
@@ -315,13 +294,12 @@ def process_shard(
                     )
                     tree_out.flush()
                 write_conversation(conv, conv_out)
-                stats["stage_s"]["write"] += time.monotonic() - t0
-                stats["conversations"] += 1
-                stats["turns"] += len(conv.turns)
+                stage_s["write"] += time.monotonic() - t0
+                summary["conversations"] += 1
+                summary["turns"] += len(conv.turns)
             for future in futures:
                 future.cancel()
-    stats["errors"] = errors.count
-    return stats
+    summary["errors"] += errors.count
 
 
 def run_pipeline(
@@ -340,26 +318,28 @@ def run_pipeline(
     if not shard_paths:
         raise ConfigError(f"no shard files under {shard_dir}")
 
-    server = None
-    gateway = None
-    gateway_cfg = cfg.gateway
-    try:
+    with ExitStack() as stack:  # closes the gateway, then stops the server
+        gateway_cfg = cfg.gateway
         if cfg.gateway.mode == "scripted":
             rules = (
                 load_fixture_file(cfg.scripted_fixtures)
                 if cfg.scripted_fixtures
                 else default_pipeline_rules()
             )
-            server = ScriptedLlmServer(
-                fixtures=rules,
-                latency_base_ms=cfg.scripted_latency_base_ms,
-                latency_per_char_ms=cfg.scripted_latency_per_char_ms,
-            ).start()
+            server = stack.enter_context(
+                ScriptedLlmServer(
+                    fixtures=rules,
+                    latency_base_ms=cfg.scripted_latency_base_ms,
+                    latency_per_char_ms=cfg.scripted_latency_per_char_ms,
+                )
+            )
             gateway_cfg = replace(cfg.gateway, endpoint_url=server.url)
         elif not probe_endpoint(cfg.gateway.endpoint_url):
             raise LlmUnavailable(f"endpoint unreachable: {cfg.gateway.endpoint_url}")
-        gateway = LlmGateway(gateway_cfg)
+        gateway = stack.enter_context(closing(LlmGateway(gateway_cfg)))
 
+        out_dir = Path(cfg.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         started = time.monotonic()
         summary = {
             "worker_id": worker_id,
@@ -385,34 +365,17 @@ def run_pipeline(
             heartbeat = HeartbeatThread(claim, cfg.heartbeat_s)
             heartbeat.start()
             try:
-                stats = process_shard(cfg, shard_path, gateway, dist, claim)
+                process_shard(cfg, shard_path, gateway, dist, claim, summary)
             finally:
                 heartbeat.stop()
                 claim.release()  # a superseded claim is left alone
-            summary["shards"].append(stats["shard_id"])
-            summary["images"] += stats["images"]
-            summary["conversations"] += stats["conversations"]
-            summary["turns"] += stats["turns"]
-            summary["resumed"] += stats["resumed"]
-            summary["errors"] += stats["errors"]
-            for stage in STAGES:
-                summary["stage_s"][stage] += stats["stage_s"][stage]
-            if stats["lost"]:
-                summary["lost_shards"].append(stats["shard_id"])
         wall = time.monotonic() - started
         summary["wall_s"] = round(wall, 3)
         summary["conversations_per_hour"] = (
             round(summary["conversations"] / wall * 3600.0, 1) if wall > 0 else 0.0
         )
         summary["gateway"] = gateway.metrics_snapshot()
-        out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"summary_{worker_id}.json").write_text(
             json.dumps(summary, indent=2), encoding="utf-8"
         )
         return summary
-    finally:
-        if gateway is not None:
-            gateway.close()
-        if server is not None:
-            server.stop()

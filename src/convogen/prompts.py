@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .context import ContextSet
+from .context import ORIGINS, ContextSet
 from .errors import ConfigError, NoCompatibleTemplate, UnresolvedPlaceholder
 
 INTENTS = ("conversation", "detailed_description", "complex_reasoning", "custom")
@@ -24,7 +24,6 @@ _PLACEHOLDER = re.compile(r"\{[a-z_]+\}")
 
 # speaker markers accepted at start of line, case-insensitive
 _HUMAN_MARKERS = ("human", "question", "user")
-_ASSISTANT_MARKERS = ("assistant", "answer", "gpt")
 _MARKER = re.compile(
     r"^[ \t]*(?:\*\*)?(human|question|user|assistant|answer|gpt)(?:\*\*)?[ \t]*:[ \t]*",
     re.IGNORECASE | re.MULTILINE,
@@ -49,6 +48,9 @@ class PromptTemplate:
             raise UnresolvedPlaceholder(f"no value for {unknown[0]} in {self.template_id!r}")
         if self.intent not in INTENTS:
             raise ValueError(f"unknown intent {self.intent!r}")
+        stray = self.compat.difference(ORIGINS)
+        if stray:
+            raise ValueError(f"unknown origins {sorted(map(str, stray))} in {self.template_id!r}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,10 @@ def load_prompt_set(prompts_dir: str | Path, set_name: str) -> PromptDistributio
     """Read ``<prompts_dir>/<set_name>/*.txt`` plus its distribution.json.
 
     Any fault of the set (unreadable spec, missing file, a template without
-    ``{context}`` or with an unknown placeholder, a bad weight or intent)
-    is a ConfigError, raised before any image runs.
+    ``{context}`` or with an unknown placeholder, a bad weight or intent, an
+    entry key other than ``weight``, ``intent`` and ``requires``, a
+    ``requires`` that is not a list of known origins) is a ConfigError,
+    raised before any image runs.
     """
     base = Path(prompts_dir) / set_name
     dist_path = base / "distribution.json"
@@ -142,9 +146,14 @@ def load_prompt_set(prompts_dir: str | Path, set_name: str) -> PromptDistributio
         templates: dict[str, PromptTemplate] = {}
         for template_id, value in spec.items():
             if isinstance(value, dict):
+                unknown = set(value) - {"weight", "intent", "requires"}
+                if unknown:
+                    raise ValueError(f"unknown keys {sorted(unknown)} for {template_id!r}")
                 weight = value.get("weight", 1.0)
                 intent = value.get("intent", "custom")
-                compat = frozenset(value.get("requires", ()))
+                compat = value.get("requires", [])
+                if not isinstance(compat, list):
+                    raise ValueError(f"requires of {template_id!r} must be a list of origins")
             else:
                 weight, intent, compat = value, "custom", frozenset()
             body_path = base / f"{template_id}.txt"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 from . import rle
@@ -83,20 +84,23 @@ class SceneRegion:
     attributes: tuple[str, ...] = ()
     members: int = 1
     area: float = 0.0           # derived when left at 0: mask area, else bbox area
-    center: tuple[float, float] = (0.0, 0.0)  # derived: bbox center
 
     def __post_init__(self):
         object.__setattr__(self, "bbox", tuple(float(v) for v in self.bbox))
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        x, y, w, h = self.bbox
+        _, _, w, h = self.bbox
         if self.area <= 0:
             area = float(rle.foreground_area(self.mask_rle)) if self.mask_rle else w * h
             object.__setattr__(self, "area", area)
-        object.__setattr__(self, "center", (x + w / 2.0, y + h / 2.0))
         if self.area <= 0:
             raise ValueError(f"region {self.label!r} has zero area")
         if self.members < 1:
             raise ValueError("members must be >= 1")
+
+    @cached_property  # read in every overlap test, so derived once
+    def center(self) -> tuple[float, float]:
+        x, y, w, h = self.bbox
+        return (x + w / 2.0, y + h / 2.0)
 
     @property
     def diagonal(self) -> float:

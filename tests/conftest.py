@@ -38,7 +38,7 @@ class FakeLlm:
         self.default = default
         self.calls: list[tuple[str, str]] = []
 
-    def complete(self, prompt, system=None, stage="default", seed=None):
+    def complete(self, prompt, stage="default", seed=None):
         self.calls.append((stage, prompt))
         for rule in self.rules:
             pattern, responder = rule

@@ -184,6 +184,12 @@ class TestRun:
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
+    def test_config_not_an_object_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("5")
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_two(self, tmp_path):
         # the shards exist, so the unknown key is all that is wrong here
         from convogen.sharding import plan_shards
@@ -226,11 +232,19 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "body, weight",
-        [("{context} {mystery}", 1.0), ("no facts here", 1.0), ("{context}", 0.0)],
-        ids=["unknown-placeholder", "no-context", "zero-weight"],
+        "body, entry",
+        [
+            ("{context} {mystery}", 1.0),
+            ("no facts here", 1.0),
+            ("{context}", 0.0),
+            ("{context}", {"weight": 1.0, "requires": "tree"}),
+            ("{context}", {"weight": 1.0, "requires": ["trees"]}),
+            ("{context}", {"weigth": 5, "requries": ["tree"]}),
+        ],
+        ids=["unknown-placeholder", "no-context", "zero-weight", "requires-string",
+             "unknown-origin", "misspelt-keys"],
     )
-    def test_bad_prompt_set_exits_two_before_any_image(self, tmp_path, body, weight):
+    def test_bad_prompt_set_exits_two_before_any_image(self, tmp_path, body, entry):
         from convogen.sharding import plan_shards
 
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
@@ -238,11 +252,23 @@ class TestRun:
         prompts = tmp_path / "prompts" / "bad"
         prompts.mkdir(parents=True)
         (prompts / "turn.txt").write_text(body, encoding="utf-8")
-        (prompts / "distribution.json").write_text(json.dumps({"turn": weight}))
+        (prompts / "distribution.json").write_text(json.dumps({"turn": entry}))
         config = write_config(
             tmp_path, manifest, prompts_dir=str(tmp_path / "prompts"), prompts_set="bad"
         )
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert not list((tmp_path / "shards").glob("*.claim.*"))
+
+    @pytest.mark.parametrize(
+        "section", [{"generation": None}, {"gateway": 5}, {"features": []}],
+        ids=["generation-null", "gateway-number", "features-list"],
+    )
+    def test_section_not_an_object_exits_two(self, tmp_path, capsys, section):
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        config = write_config(tmp_path, manifest, **section)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert "must be a JSON object" in capsys.readouterr().err
         assert not list((tmp_path / "shards").glob("*.claim.*"))
 
     def test_every_call_rejected_exits_four(self, tmp_path, capsys):
@@ -379,8 +405,10 @@ class TestIngest:
             {"manifest_path": "a.jsonl"},
             {"dataset_id": "fixture", "manifest_path": "a.jsonl", "kind": "mixed"},
             {"dataset_id": "fixture", "manifest_path": "a.jsonl", "link_namspace": "coco"},
+            5,
+            None,
         ],
-        ids=["no-dataset-id", "kind", "misspelt-key"],
+        ids=["no-dataset-id", "kind", "misspelt-key", "number", "null"],
     )
     def test_bad_registry_entry_exits_two(self, tmp_path, capsys, entry):
         (tmp_path / "a.jsonl").write_text(record_line(rich_record(0)) + "\n")

@@ -176,17 +176,17 @@ class TestReduceContext:
 class TestQualityFilter:
     def test_keep(self):
         llm = FakeLlm(rules=[("KEEP or DROP", "KEEP")])
-        kept, verdict = quality_filter(turn_of(), ctx_of_chars([100]), llm, P)
+        kept, verdict = quality_filter(turn_of(), ctx_of_chars([100]), llm)
         assert kept is True and verdict == "KEEP"
 
     def test_drop_with_reason(self):
         llm = FakeLlm(rules=[("KEEP or DROP", "DROP: irrelevant")])
-        kept, verdict = quality_filter(turn_of(), ctx_of_chars([100]), llm, P)
+        kept, verdict = quality_filter(turn_of(), ctx_of_chars([100]), llm)
         assert kept is False and "irrelevant" in verdict
 
     def test_unparseable_keeps(self):
         llm = FakeLlm(rules=[("KEEP or DROP", "hmm")])
-        kept, _ = quality_filter(turn_of(), ctx_of_chars([100]), llm, P)
+        kept, _ = quality_filter(turn_of(), ctx_of_chars([100]), llm)
         assert kept is True
 
     def test_thirty_turn_confusion_counts_match_script(self):
@@ -199,7 +199,7 @@ class TestQualityFilter:
 
         llm = FakeLlm(rules=[("KEEP or DROP", verdict)])
         outcomes = {
-            i: quality_filter(turn_of(f"turn-{i} ?", "a"), ctx, llm, P)[0]
+            i: quality_filter(turn_of(f"turn-{i} ?", "a"), ctx, llm)[0]
             for i in range(30)
         }
         dropped = {i for i, kept in outcomes.items() if not kept}

@@ -12,12 +12,13 @@ from convogen.gateway import GatewayConfig, LlmGateway
 from convogen.generation import Conversation, Turn
 from convogen.metadata import record_line
 from convogen.pipeline import (
+    STAGES,
     conversation_record,
     run_pipeline,
     validate_conversation_record,
     write_conversation,
 )
-from convogen.sharding import plan_shards
+from convogen.sharding import claim_shard, load_shard, plan_shards
 
 from conftest import PROMPTS_DIR, make_image
 from killed_worker import KILL_POINTS, assert_same_as_clean, run_killed_worker
@@ -172,6 +173,37 @@ class TestRunPipeline:
         assert 1 <= connections.accepted <= cfg.parallelism
         assert connections.wait_all_ended()
 
+    def test_summary_counts_each_claimed_shard_once(self, tmp_path):
+        cfg = scripted_config(tmp_path, n=15, shards=3)
+        # a box wholly outside the frame is dropped with one ingest row per image
+        ghost = {"label": "ghost", "bbox": [5000.0, 5000.0, 10.0, 10.0], "attributes": [],
+                 "mask_rle": None, "depth_mean": None, "source": "fixture"}
+        records = [rich_record(i) for i in range(15)]
+        for record in records:
+            record["boxes"].append(ghost)
+        Path(cfg.manifest_path).write_text("".join(record_line(r) + "\n" for r in records))
+        shard_paths = plan_shards(cfg.manifest_path, 3, cfg.shard_dir)
+        sizes = [len(load_shard(path)["keys"]) for path in shard_paths]
+        assert sizes[0] and sizes[2]
+        held = claim_shard(shard_paths[1], "other", cfg.claim_staleness_s)
+
+        out = Path(cfg.output_dir)
+        summary = run_pipeline(cfg, worker_id="w1")
+        assert summary == json.loads((out / "summary_w1.json").read_text())
+        assert summary["shards"] == [0, 2] and summary["skipped_shards"] == 1
+        assert summary["images"] == summary["conversations"] == sizes[0] + sizes[2]
+        rows = (out / "errors.jsonl").read_text().splitlines()
+        assert summary["errors"] == len(rows) == summary["images"]
+        assert tuple(summary["stage_s"]) == STAGES
+        assert summary["resumed"] == 0 and summary["lost_shards"] == []
+
+        # the other worker still holds shard 1; shards 0 and 2 are all done
+        second = run_pipeline(cfg, worker_id="w2")
+        assert second["shards"] == [0, 2] and second["skipped_shards"] == 1
+        assert second["resumed"] == summary["conversations"]
+        assert second["images"] == second["conversations"] == second["errors"] == 0
+        assert held.is_current()
+
     def test_direct_generation_path(self, tmp_path):
         cfg = scripted_config(tmp_path, n=4, features=FeatureFlags(False, False, False))
         summary = run_pipeline(cfg, worker_id="w1")
@@ -222,6 +254,19 @@ class TestRunPipeline:
             assert len(ids) == 8
             assert tree_ids == ids
             assert set(cut_ids.values()) <= set(ids)
+
+    def test_resume_regenerates_a_final_line_that_lacks_only_its_newline(self, tmp_path):
+        # the line parses, but without its newline it was never committed
+        clean = scripted_config(tmp_path / "clean", n=4)
+        run_pipeline(clean, worker_id="clean")
+        cfg = scripted_config(tmp_path / "torn", n=4)
+        run_pipeline(cfg, worker_id="w1")
+        path = Path(cfg.output_dir) / "conversations_shard_00000.jsonl"
+        path.write_bytes(path.read_bytes()[:-1])
+        second = run_pipeline(cfg, worker_id="w2")
+        assert second["resumed"] == 3 and second["conversations"] == 1
+        ids, tree_ids = assert_same_as_clean(Path(cfg.output_dir), Path(clean.output_dir))
+        assert len(ids) == 4 and tree_ids == ids
 
     def test_deposed_worker_stops_committing(self, tmp_path, monkeypatch):
         from convogen import pipeline
