@@ -270,7 +270,6 @@ class TestRunPipeline:
 
     def test_deposed_worker_stops_committing(self, tmp_path, monkeypatch):
         from convogen import pipeline
-        from convogen.sharding import claim_shard
 
         cfg = scripted_config(tmp_path, n=6)
         shard_path = tmp_path / "shards" / "shard_00000.json"
