@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Literal, Optional
 
 from .errors import ConfigError
 from .gateway import GatewayConfig
@@ -47,7 +49,7 @@ class PipelineConfig:
     shard_dir: Optional[str] = None       # default: <output_dir>/shards
     rng_seed: int = 0
     parallelism: int = 4
-    reduce_mode: str = "llm"              # "llm" | "lexical"
+    reduce_mode: Literal["llm", "lexical"] = "llm"
     heartbeat_s: float = 30.0
     claim_staleness_s: float = 300.0
     scripted_fixtures: Optional[str] = None
@@ -62,36 +64,51 @@ class PipelineConfig:
         return Path(self.shard_dir) if self.shard_dir else Path(self.output_dir) / "shards"
 
 
-_NESTED = {
-    "generation": GenerationParams,
-    "scene": SceneTreeParams,
-    "gateway": GatewayConfig,
-    "features": FeatureFlags,
-}
+def _matches(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: ``bool`` is not an
+    ``int``, an ``int`` is a ``float``."""
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_matches(value, arg) for arg in typing.get_args(hint))
+    if origin is typing.Literal:
+        return any(type(value) is type(a) and value == a for a in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def build_section(cls, data: dict):
     """One dataclass from a JSON object; a value that is not an object,
-    unknown or missing keys and rejected values are config errors."""
+    unknown or missing keys, a value of the wrong type and rejected values
+    are config errors. A dataclass-typed field is built from its object."""
     if not isinstance(data, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {data!r}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    values = dict(data)
+    for name, value in data.items():
+        hint = hints[name]
+        if is_dataclass(hint):
+            values[name] = build_section(hint, value)
+        elif not _matches(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"bad {cls.__name__}.{name}: {value!r} is not {expected}")
     try:
-        return cls(**data)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
     cfg = build_section(PipelineConfig, data)
-    for name, cls in _NESTED.items():
-        if name in data:
-            setattr(cfg, name, build_section(cls, data[name]))
-    if cfg.reduce_mode not in ("llm", "lexical"):
-        raise ConfigError(f"bad reduce_mode {cfg.reduce_mode!r}")
+    if not 0 < cfg.heartbeat_s < cfg.claim_staleness_s:
+        # a live worker's claim would go stale between two heartbeats
+        raise ConfigError(
+            f"heartbeat_s {cfg.heartbeat_s} must be above 0 and below "
+            f"claim_staleness_s {cfg.claim_staleness_s}"
+        )
     cfg.gateway = cfg.gateway.with_env_overrides()
     return cfg
 

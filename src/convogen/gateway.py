@@ -21,7 +21,6 @@ in the environment are not read.
 
 from __future__ import annotations
 
-import hashlib
 import http.client
 import json
 import os
@@ -43,13 +42,6 @@ ENV_API_KEY = "CONVOGEN_API_KEY"
 # (RemoteDisconnected is a ConnectionResetError)
 STALE_CONNECTION = (BrokenPipeError, ConnectionResetError)
 TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
-
-
-def request_digest(messages: list[dict]) -> str:
-    """Stable fixture key: hash of the concatenated message contents only,
-    so prompts can change sampling parameters without re-recording."""
-    joined = "\x1e".join(m.get("content", "") for m in messages)
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
 @dataclass

@@ -14,7 +14,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Optional
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import rle
 from .config import build_section
@@ -46,14 +46,11 @@ class DatasetDescriptor:
             raise ValueError("dataset_id must be non-empty")
 
 
-@dataclass(frozen=True)
-class LinkKey:
+class LinkKey(NamedTuple):
+    """Cross-dataset identity of an image; sorts as (namespace, canonical_id)."""
+
     namespace: str
     canonical_id: str
-
-    def __post_init__(self):
-        if not self.canonical_id:
-            raise ValueError("canonical_id must be non-empty")
 
     def __str__(self) -> str:
         return f"{self.namespace}:{self.canonical_id}"
@@ -112,34 +109,31 @@ class DatasetRegistry:
 
 
 def link_key(
-    image: ImageRef,
-    namespace: str,
-    id_map: Optional[dict[tuple[str, str], str]] = None,
-) -> LinkKey:
-    """Derive the canonical cross-dataset key for an image."""
-    return link_key_of(image.dataset_id, image.image_id, image.uri, namespace, id_map)
-
-
-def link_key_of(
     dataset_id: str,
     image_id: str,
     uri: str,
-    namespace: str,
+    registry: Optional[DatasetRegistry] = None,
     id_map: Optional[dict[tuple[str, str], str]] = None,
 ) -> LinkKey:
-    """The link key from the three image fields it is made of.
+    """The canonical cross-dataset key of an image.
 
-    Priority: explicit id-map entry, then the namespace convention. The
-    "file-stem" namespace uses the lowercase file stem of the uri; any
-    other namespace treats the dataset-provided image_id as canonical.
+    The namespace is the dataset's registered one, "file-stem" without a
+    registry entry. Priority: explicit id-map entry, then the namespace
+    convention. The "file-stem" namespace uses the lowercase file stem of
+    the uri; any other namespace treats the dataset-provided image_id as
+    canonical.
     """
-    if id_map:
-        mapped = id_map.get((dataset_id, image_id))
-        if mapped:
-            return LinkKey(namespace, mapped.strip().lower())
-    if namespace == FILE_STEM:
-        return LinkKey(namespace, canonical_image_stem(uri))
-    return LinkKey(namespace, image_id.strip().lower())
+    namespace = registry.namespace_for(dataset_id) if registry else FILE_STEM
+    mapped = id_map.get((dataset_id, image_id)) if id_map else None
+    if mapped:
+        canonical = mapped.strip().lower()
+    elif namespace == FILE_STEM:
+        canonical = canonical_image_stem(uri)
+    else:
+        canonical = image_id.strip().lower()
+    if not canonical:
+        raise ValueError("canonical_id must be non-empty")
+    return LinkKey(namespace, canonical)
 
 
 def open_input(path: str | Path, what: str, mode: str = "r") -> IO:
@@ -239,14 +233,7 @@ def load_bundle(
                             "reason": f"invalid mask on box {box.label!r}, mask dropped",
                         }
                     )
-                box = type(box)(
-                    label=box.label,
-                    bbox=box.bbox,
-                    attributes=box.attributes,
-                    mask_rle=None,
-                    depth_mean=box.depth_mean,
-                    source=box.source,
-                )
+                box = replace(box, mask_rle=None)
         try:
             kept.append(clamp_box(box, image))
         except DegenerateBox:
@@ -283,7 +270,7 @@ def load_manifest(path: str | Path, on_warning: WarnFn = None) -> Iterator[Metad
             yield bundle
 
 
-def _spill_run(run: list[tuple[tuple[str, str], MetadataBundle]], tmp_dir: str) -> Path:
+def _spill_run(run: list[tuple[LinkKey, MetadataBundle]], tmp_dir: str) -> Path:
     path = Path(tempfile.mkstemp(dir=tmp_dir, suffix=".jsonl")[1])
     with open(path, "w", encoding="utf-8") as fh:
         for key, bundle in run:
@@ -291,19 +278,19 @@ def _spill_run(run: list[tuple[tuple[str, str], MetadataBundle]], tmp_dir: str) 
     return path
 
 
-def _read_run(path: Path) -> Iterator[tuple[tuple[str, str], MetadataBundle]]:
+def _read_run(path: Path) -> Iterator[tuple[LinkKey, MetadataBundle]]:
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             key, record = json.loads(line)
-            yield tuple(key), bundle_from_record(record)
+            yield LinkKey(*key), bundle_from_record(record)
 
 
 def _sorted_by_key(
     records: Iterable[MetadataBundle],
-    key_of: Callable[[MetadataBundle], tuple[str, str]],
+    key_of: Callable[[MetadataBundle], LinkKey],
     run_size: int,
-) -> Iterator[tuple[tuple[str, str], MetadataBundle]]:
-    run: list[tuple[tuple[str, str], MetadataBundle]] = []
+) -> Iterator[tuple[LinkKey, MetadataBundle]]:
+    run: list[tuple[LinkKey, MetadataBundle]] = []
     spilled: list[Path] = []
     tmp_dir = None
     try:
@@ -338,12 +325,8 @@ def group_by_image(
     DimensionConflict from merging when datasets disagree by >1px.
     """
 
-    def namespace_of(image: ImageRef) -> str:
-        return registry.namespace_for(image.dataset_id) if registry else FILE_STEM
-
-    def key_of(image: ImageRef) -> tuple[str, str]:
-        k = link_key(image, namespace_of(image), id_map)
-        return (k.namespace, k.canonical_id)
+    def key_of(image: ImageRef) -> LinkKey:
+        return link_key(image.dataset_id, image.image_id, image.uri, registry, id_map)
 
     stream = _sorted_by_key(records, lambda bundle: key_of(bundle.image), run_size)
     for _, group in itertools.groupby(stream, key=lambda kb: kb[0]):

@@ -110,13 +110,6 @@ class MetadataBundle:
         """A bundle must carry at least one annotation to enter generation."""
         return self.annotation_count > 0
 
-    def sources(self) -> set[str]:
-        return (
-            {c.source for c in self.captions}
-            | {b.source for b in self.boxes}
-            | {q.source for q in self.qas}
-        )
-
 
 def _caption_key(c: CaptionAnnotation):
     return (c.source, c.text)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -113,34 +114,47 @@ class _ErrorLog:
                 fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
+def _line_id(line: bytes, path: Path, lineno: int):
+    """The ``id`` of a whole output line; any other line is damage."""
+    try:
+        return json.loads(line)["id"]
+    except (ValueError, KeyError, TypeError):
+        raise ConfigError(
+            f"damaged output file {path}, line {lineno}: not a JSON object with an id"
+        ) from None
+
+
 def _recover(conv_path: Path, tree_path: Path) -> set[str]:
     """Make a shard's outputs whole after a crash; returns the committed ids.
 
     Each file is read once. A crash mid-append leaves a final line without
     its newline: it is cut, so the next append starts a fresh line. A crash
     between a commit's two appends leaves a final tree line whose
-    conversation was never appended, and only one: it is cut too.
+    conversation was never appended, and only one: it is cut too. A crash
+    leaves no other kind of line, so a whole line that is not a JSON object
+    with an ``id`` raises ConfigError, before anything is cut.
     """
     done: set[str] = set()
+    cuts: list[tuple[Path, int]] = []
     for path in (conv_path, tree_path):
         if not path.exists():
             continue
-        with open(path, "rb+") as fh:
+        with open(path, "rb") as fh:
             start = end = 0  # offsets of the last whole line
-            last = b""
-            for line in fh:
+            last_id = None
+            for lineno, line in enumerate(fh, 1):
                 if not line.endswith(b"\n"):
                     break  # torn; only the final line can be
-                start, end, last = end, end + len(line), line
+                start, end = end, end + len(line)
+                last_id = _line_id(line, path, lineno)
                 if path is conv_path:
-                    try:
-                        done.add(json.loads(line)["id"])
-                    except (ValueError, KeyError):
-                        continue
-            if path is tree_path and last and json.loads(last)["id"] not in done:
+                    done.add(last_id)
+            if path is tree_path and last_id not in done:
                 end = start
             if end < fh.tell():
-                fh.truncate(end)
+                cuts.append((path, end))
+    for path, end in cuts:
+        os.truncate(path, end)
     return done
 
 

@@ -122,11 +122,6 @@ def parse_conversation(raw: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def serialize_turns(pairs: list[tuple[str, str]]) -> str:
-    """Canonical text form whose parse round-trips to the same pairs."""
-    return "\n".join(f"Human: {h}\nAssistant: {a}" for h, a in pairs)
-
-
 def load_prompt_set(prompts_dir: str | Path, set_name: str) -> PromptDistribution:
     """Read ``<prompts_dir>/<set_name>/*.txt`` plus its distribution.json.
 

@@ -87,12 +87,6 @@ def _same_grid(a: Intervals, b: Intervals) -> None:
         )
 
 
-def grid_size(rle: str) -> tuple[int, int]:
-    """(width, height) of the encoded grid."""
-    iv = intervals(rle)
-    return iv.width, iv.height
-
-
 def foreground_area(rle: str) -> int:
     """Number of foreground pixels, without decoding the full grid."""
     return intervals(rle).area

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import rle
 from .metadata import Bbox, BoxAnnotation, ImageRef, clamp_box
@@ -265,25 +265,6 @@ class TreeNode:
 class SceneTree:
     roots: list[TreeNode] = field(default_factory=list)
 
-    def walk(self) -> Iterator[TreeNode]:
-        stack = list(reversed(self.roots))
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def member_total(self) -> int:
-        """Pre-merge region count conserved across build and grouping."""
-        return sum(n.region.members for n in self.walk() if not n.is_group)
-
-    def depth(self) -> int:
-        def node_depth(node: TreeNode) -> int:
-            if not node.children:
-                return 0
-            return 1 + max(node_depth(c) for c in node.children)
-
-        return max((node_depth(r) for r in self.roots), default=-1) + 1 if self.roots else 0
-
 
 def build_tree(regions: list[SceneRegion], p: SceneTreeParams) -> SceneTree:
     """Place regions in descending-area order under their smallest container.
@@ -304,21 +285,7 @@ def build_tree(regions: list[SceneRegion], p: SceneTreeParams) -> SceneTree:
                     parent = candidate
         (parent.children if parent else roots).append(node)
         placed.append(node)
-    tree = SceneTree(roots=roots)
-    _assert_valid(tree, p)
-    return tree
-
-
-def _assert_valid(tree: SceneTree, p: SceneTreeParams) -> None:
-    for node in tree.walk():
-        for child in node.children:
-            if node.is_group or child.is_group:
-                continue
-            stats = overlap_stats(child.region, node.region)
-            assert stats.containment >= p.t_c, (
-                f"child {child.region.label!r} containment {stats.containment:.3f} "
-                f"below t_c={p.t_c}"
-            )
+    return SceneTree(roots=roots)
 
 
 def _count_descriptor(total: int, p: SceneTreeParams) -> str:

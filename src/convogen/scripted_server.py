@@ -8,6 +8,7 @@ request streams always get identical response streams.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import threading
@@ -17,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import ConfigError
-from .gateway import request_digest
 from .ingestion import open_input
 
 _NUMBERED = re.compile(r"^\s*(\d+)\.\s+(.*\S)\s*$", re.MULTILINE)
@@ -28,6 +28,13 @@ _TREE_LINE = re.compile(
     r"\s+center=\((-?\d+),(-?\d+)\)",
     re.MULTILINE,
 )
+
+
+def request_digest(messages: list[dict]) -> str:
+    """Stable fixture key: hash of the concatenated message contents only,
+    so prompts can change sampling parameters without re-recording."""
+    joined = "\x1e".join(m.get("content", "") for m in messages)
+    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
 def _context_sentences(prompt: str) -> list[str]:

@@ -24,25 +24,13 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import AlreadyClaimed
-from .ingestion import FILE_STEM, DatasetRegistry, WarnFn, link_key_of, open_input
+from .ingestion import DatasetRegistry, WarnFn, link_key, open_input
 
 
 def stable_shard(canonical_key: str, n: int) -> int:
     """Process-independent hash partition (never Python's hash())."""
     digest = hashlib.md5(canonical_key.encode("utf-8")).hexdigest()
     return int(digest, 16) % n
-
-
-def record_link_key(
-    record: dict,
-    registry: Optional[DatasetRegistry] = None,
-    id_map: Optional[dict] = None,
-) -> str:
-    """The record's link key. Only the fields the key is made of are read:
-    the rest of the record is checked when its image runs."""
-    dataset_id, image_id = record["dataset"], str(record["image_id"])
-    namespace = registry.namespace_for(dataset_id) if registry else FILE_STEM
-    return str(link_key_of(dataset_id, image_id, record["uri"], namespace, id_map))
 
 
 def plan_shards(
@@ -55,8 +43,10 @@ def plan_shards(
 ) -> list[Path]:
     """Partition records by link-key hash mod n into shard index files.
 
-    A line that is not a JSON record with the fields of a link key is left
-    out and reported to ``on_warning`` with its line number.
+    Only the fields a link key is made of are read: the rest of a record is
+    checked when its image runs. A line that is not a JSON record with
+    those fields is left out and reported to ``on_warning`` with its line
+    number.
     """
     if n < 1:
         raise ValueError("shard count must be >= 1")
@@ -70,7 +60,9 @@ def plan_shards(
             line = raw.strip()
             if line:
                 try:
-                    key = record_link_key(json.loads(line.decode("utf-8")), registry, id_map)
+                    record = json.loads(line.decode("utf-8"))
+                    key = str(link_key(record["dataset"], str(record["image_id"]),
+                                       record["uri"], registry, id_map))
                 except Exception as exc:
                     if on_warning:
                         on_warning({"line": lineno, "reason": f"unparseable record: {exc!r}"})

@@ -8,6 +8,7 @@ import pytest
 
 from convogen import rle
 from convogen.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_RUNTIME, main
+from convogen.ingestion import DatasetRegistry, link_key, load_id_map
 from convogen.metadata import record_line
 from convogen.sharding import plan_shards
 
@@ -271,6 +272,24 @@ class TestRun:
         assert "must be a JSON object" in capsys.readouterr().err
         assert not list((tmp_path / "shards").glob("*.claim.*"))
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"parallelism": "4"}, "parallelism"),
+            ({"rng_seed": 1.5}, "rng_seed"),
+            ({"features": {"filtering": "no"}}, "filtering"),
+            ({"heartbeat_s": 400, "claim_staleness_s": 300}, "heartbeat_s"),
+        ],
+        ids=["parallelism-string", "rng-seed-float", "filtering-string", "heartbeat-past-staleness"],
+    )
+    def test_wrong_typed_value_exits_two(self, tmp_path, capsys, overrides, key):
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        config = write_config(tmp_path, manifest, **overrides)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not list((tmp_path / "shards").glob("*.claim.*"))
+
     def test_every_call_rejected_exits_four(self, tmp_path, capsys):
         # a systematic fault (say, a wrong model name answered with 400)
         # costs every image, and a run with no conversation is no success
@@ -383,6 +402,58 @@ class TestIngest:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 1
         assert len(records[0]["captions"]) == 3  # 2 fixture + 1 other
+
+    def test_plan_agrees_with_ingest_on_link_keys(self, tmp_path):
+        # A and B link by file stem, C by its own image ids; an id-map entry
+        # links A's image 7 to B's "shared" stem
+        def record(dataset, image_id, uri):
+            caption = {"text": f"Caption of {dataset}/{image_id}.", "source": dataset}
+            return {"dataset": dataset, "image_id": image_id, "uri": uri, "width": 64,
+                    "height": 48, "captions": [caption], "boxes": [], "qas": []}
+
+        corpus = {
+            "A": [record("A", "7", "a/renamed.jpg"), record("A", "8", "a/only_a.jpg")],
+            "B": [record("B", "1", "b/SHARED.jpg"), record("B", "2", "b/only_a.jpg")],
+            "C": [record("C", "X42", "c/x.jpg"), record("C", "x42", "c/y.jpg"),
+                  record("C", "43", "c/only_a.jpg")],
+        }
+        entries = []
+        for dataset, records in corpus.items():
+            manifest = tmp_path / f"{dataset}.jsonl"
+            manifest.write_text("".join(record_line(r) + "\n" for r in records))
+            entries.append({"dataset_id": dataset, "manifest_path": str(manifest),
+                            "link_namespace": "coco" if dataset == "C" else "file-stem"})
+        registry_path = tmp_path / "registry.json"
+        registry_path.write_text(json.dumps(entries))
+        id_map_path = tmp_path / "id_map.jsonl"
+        id_map_path.write_text(
+            json.dumps({"dataset": "A", "image_id": "7", "canonical_id": "SHARED"}) + "\n"
+        )
+        grouped = tmp_path / "grouped.jsonl"
+        linking = ["--registry", str(registry_path), "--id-map", str(id_map_path)]
+        assert main(["ingest", "--out", str(grouped), *linking]) == EXIT_OK
+        assert main(["plan", "--manifest", str(grouped), "--shards", "3",
+                     "--out-dir", str(tmp_path / "shards"), *linking]) == EXIT_OK
+
+        registry = DatasetRegistry.from_config(registry_path)
+        id_map = load_id_map(id_map_path)
+        sources = {}
+        with open(grouped, encoding="utf-8") as fh:
+            for shard_path in sorted((tmp_path / "shards").glob("shard_*.json")):
+                shard = json.loads(shard_path.read_text())
+                for offset, key in zip(shard["offsets"], shard["keys"]):
+                    fh.seek(offset)
+                    rec = json.loads(fh.readline())
+                    assert key == str(
+                        link_key(rec["dataset"], str(rec["image_id"]), rec["uri"], registry, id_map)
+                    )
+                    sources[key] = sorted(c["text"] for c in rec["captions"])
+        assert sources == {
+            "file-stem:shared": ["Caption of A/7.", "Caption of B/1."],
+            "file-stem:only_a": ["Caption of A/8.", "Caption of B/2."],
+            "coco:x42": ["Caption of C/X42.", "Caption of C/x42."],
+            "coco:43": ["Caption of C/43."],
+        }
 
     def test_conflicting_registry_exits_two(self, tmp_path):
         (tmp_path / "a.jsonl").write_text(record_line(rich_record(0)) + "\n")

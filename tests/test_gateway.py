@@ -15,9 +15,8 @@ from convogen.gateway import (
     _endpoint,
     backoff_delays_s,
     probe_endpoint,
-    request_digest,
 )
-from convogen.scripted_server import PROGRAMS, ScriptedLlmServer, load_fixture_file
+from convogen.scripted_server import PROGRAMS, ScriptedLlmServer, load_fixture_file, request_digest
 
 
 def make_request(content="hello", model="m"):

@@ -56,10 +56,21 @@ class TestRegistry:
             )
 
 
+def registry_of(tmp_path, namespaces: dict[str, str]) -> DatasetRegistry:
+    registry = DatasetRegistry()
+    for dataset_id, namespace in namespaces.items():
+        registry.register(descriptor(tmp_path, dataset_id, namespace))
+    return registry
+
+
+def key_of(image, registry=None, id_map=None):
+    return link_key(image.dataset_id, image.image_id, image.uri, registry, id_map)
+
+
 class TestLinkKey:
     def test_file_stem_normalization(self):
         image = make_image(uri=".../COCO_train2014_000000123.jpg")
-        key = link_key(image, FILE_STEM)
+        key = key_of(image)
         assert (key.namespace, key.canonical_id) == (
             FILE_STEM,
             "coco_train2014_000000123",
@@ -67,14 +78,15 @@ class TestLinkKey:
 
     def test_deterministic(self):
         image = make_image()
-        assert link_key(image, FILE_STEM) == link_key(image, FILE_STEM)
+        assert key_of(image) == key_of(image)
 
-    def test_shared_id_namespace(self):
+    def test_shared_id_namespace(self, tmp_path):
         a = make_image(image_id="123", dataset="ds-a", uri="a/path1.jpg")
         b = make_image(image_id="123", dataset="ds-b", uri="b/path2.jpg")
-        assert link_key(a, "coco") == link_key(b, "coco")
+        registry = registry_of(tmp_path, {"ds-a": "coco", "ds-b": "coco"})
+        assert key_of(a, registry) == key_of(b, registry)
 
-    def test_three_dataset_equality_table(self):
+    def test_three_dataset_equality_table(self, tmp_path):
         # datasets A and B share stems for two images; C links to A via the
         # coco id namespace. Oracle: brute-force expected pairwise equality.
         images = {
@@ -84,10 +96,8 @@ class TestLinkKey:
             ("B", "2"): make_image("8", "B", uri="b/only_b.jpg"),
             ("C", "1"): make_image("9", "C", uri="c/random_name.jpg"),
         }
-        namespaces = {"A": FILE_STEM, "B": FILE_STEM, "C": "coco"}
-        keys = {
-            who: link_key(img, namespaces[who[0]]) for who, img in images.items()
-        }
+        registry = registry_of(tmp_path, {"A": FILE_STEM, "B": FILE_STEM, "C": "coco"})
+        keys = {who: key_of(img, registry) for who, img in images.items()}
         expected_equal = {
             frozenset({("A", "1"), ("B", "1")}),  # same stem
         }
@@ -104,7 +114,8 @@ class TestLinkKey:
         )
         id_map = load_id_map(path)
         image = make_image("1", "A", uri="whatever/zzz.jpg")
-        assert link_key(image, "coco", id_map).canonical_id == "canon-7"
+        registry = registry_of(tmp_path, {"A": "coco"})
+        assert key_of(image, registry, id_map).canonical_id == "canon-7"
 
 
 def bundles_fixture():

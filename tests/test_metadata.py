@@ -22,6 +22,14 @@ from convogen.metadata import (
 from conftest import make_box, make_bundle, make_image
 
 
+def sources(bundle: MetadataBundle) -> set[str]:
+    return (
+        {c.source for c in bundle.captions}
+        | {b.source for b in bundle.boxes}
+        | {q.source for q in bundle.qas}
+    )
+
+
 def canonical(bundle: MetadataBundle) -> str:
     return json.dumps(bundle_to_record(bundle), sort_keys=True)
 
@@ -110,7 +118,7 @@ class TestMergeBundles:
         a = make_bundle(image, captions=["x"], source="src-a")
         b = make_bundle(image, qas=[("q?", "a")], source="src-b")
         merged = merge_bundles(a, b)
-        assert merged.sources() == {"src-a", "src-b"}
+        assert sources(merged) == {"src-a", "src-b"}
 
     def test_duplicate_boxes_union_attributes(self):
         image = make_image()

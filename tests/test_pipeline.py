@@ -1,11 +1,12 @@
 import json
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 from convogen import pipeline
+from convogen.cli import EXIT_CONFIG, main
 from convogen.config import FeatureFlags, PipelineConfig
 from convogen.context import ORIGIN_CAPTION, ContextSet, make_sentence
 from convogen.gateway import GatewayConfig, LlmGateway
@@ -267,6 +268,22 @@ class TestRunPipeline:
         assert second["resumed"] == 3 and second["conversations"] == 1
         ids, tree_ids = assert_same_as_clean(Path(cfg.output_dir), Path(clean.output_dir))
         assert len(ids) == 4 and tree_ids == ids
+
+    @pytest.mark.parametrize("line", [b"not json\n", b'{"tree": "no id"}\n'], ids=["not-json", "no-id"])
+    @pytest.mark.parametrize("name", ["conversations_shard_00000.jsonl", "trees_shard_00000.jsonl"])
+    def test_damaged_output_line_exits_two_and_cuts_nothing(self, tmp_path, capsys, name, line):
+        # a whole line that is not a committed record is no crash artefact
+        cfg = scripted_config(tmp_path, n=3)
+        run_pipeline(cfg, worker_id="w1")
+        path = Path(cfg.output_dir) / name
+        with open(path, "ab") as fh:
+            fh.write(line)
+        damaged = path.read_bytes()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(asdict(cfg)), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--worker-id", "w2"]) == EXIT_CONFIG
+        assert f"{path}, line 4" in capsys.readouterr().err
+        assert path.read_bytes() == damaged
 
     def test_deposed_worker_stops_committing(self, tmp_path, monkeypatch):
         from convogen import pipeline

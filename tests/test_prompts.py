@@ -12,10 +12,14 @@ from convogen.prompts import (
     parse_conversation,
     render,
     sample_template,
-    serialize_turns,
 )
 
 from conftest import PROMPTS_DIR, make_image
+
+
+def serialize_turns(pairs: list[tuple[str, str]]) -> str:
+    """Canonical text form whose parse round-trips to the same pairs."""
+    return "\n".join(f"Human: {h}\nAssistant: {a}" for h, a in pairs)
 
 
 def template(template_id="t", body="Context:\n{context}\n", intent="custom", compat=()):

@@ -27,7 +27,7 @@ def test_all_background_and_all_foreground():
 
 def test_grid_size_and_area():
     encoded = rle.from_bbox((1, 1, 2, 2), 5, 4)
-    assert rle.grid_size(encoded) == (5, 4)
+    assert rle.intervals(encoded)[:2] == (5, 4)
     assert rle.foreground_area(encoded) == 4
 
 
@@ -67,7 +67,7 @@ def test_intersection_and_area_match_decode_oracle(masks):
     assert rle.intersection_area(a, b) == int(np.logical_and(ma, mb).sum())
     assert rle.intersection_area(b, a) == rle.intersection_area(a, b)
     assert rle.foreground_area(a) == int(ma.sum())
-    assert rle.grid_size(a) == (ma.shape[1], ma.shape[0])
+    assert rle.intervals(a)[:2] == (ma.shape[1], ma.shape[0])
 
 
 @given(mask_sets())

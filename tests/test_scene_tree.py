@@ -37,6 +37,23 @@ def region(label="thing", bbox=(0, 0, 10, 10), mask=None, depth=None, attrs=(), 
     )
 
 
+def member_total(tree) -> int:
+    """Pre-merge region count conserved across build and grouping."""
+
+    def total(node) -> int:
+        own = 0 if node.is_group else node.region.members
+        return own + sum(total(c) for c in node.children)
+
+    return sum(total(r) for r in tree.roots)
+
+
+def depth(tree) -> int:
+    def node_depth(node) -> int:
+        return 1 + max((node_depth(c) for c in node.children), default=0)
+
+    return max((node_depth(r) for r in tree.roots), default=0)
+
+
 # ---------------------------------------------------------------- oracles
 
 def oracle_rect_stats(a: SceneRegion, b: SceneRegion):
@@ -464,7 +481,7 @@ class TestProperties:
         regions = random_scene(rng, with_masks=False, with_depth=True, n_max=18)
         merged = merge_duplicates(regions, P)
         tree = group_and_count(build_tree(merged, P), P)
-        assert tree.member_total() == len(regions)
+        assert member_total(tree) == len(regions)
 
     def test_raising_t_m_never_decreases_region_count(self):
         for seed in range(8):
@@ -482,7 +499,7 @@ class TestProperties:
             regions = random_scene(rng, with_masks=False, with_depth=False, n_max=16)
             merged = merge_duplicates(regions, P)
             depths = [
-                build_tree(merged, SceneTreeParams(t_c=t)).depth()
+                depth(build_tree(merged, SceneTreeParams(t_c=t)))
                 for t in (0.5, 0.7, 0.8, 0.95)
             ]
             assert depths == sorted(depths, reverse=True), (seed, depths)
