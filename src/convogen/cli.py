@@ -44,7 +44,8 @@ def _cmd_ingest(args) -> int:
         for desc in registry:
             yield from load_manifest(desc.manifest_path, warnings.append)
 
-    count = write_manifest(group_by_image(all_bundles(), registry, id_map), args.out)
+    grouped = group_by_image(all_bundles(), registry, id_map, on_warning=warnings.append)
+    count = write_manifest(grouped, args.out)
     print(f"wrote {count} grouped records to {args.out} ({len(warnings)} warnings)")
     return EXIT_OK
 

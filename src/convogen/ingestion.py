@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass, replace
@@ -18,7 +19,7 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import rle
 from .config import build_section
-from .errors import ConfigError, DegenerateBox, DuplicateDataset
+from .errors import ConfigError, DegenerateBox, DimensionConflict, DuplicateDataset
 from .metadata import (
     ImageRef,
     MetadataBundle,
@@ -318,29 +319,44 @@ def group_by_image(
     registry: Optional[DatasetRegistry] = None,
     id_map: Optional[dict[tuple[str, str], str]] = None,
     run_size: int = 50_000,
+    on_warning: WarnFn = None,
 ) -> Iterator[MetadataBundle]:
     """Merge bundles that resolve to the same link key.
 
-    Emits one bundle per distinct key, in key order. Raises
-    DimensionConflict from merging when datasets disagree by >1px.
+    Emits one bundle per distinct key, in key order. An image whose datasets
+    disagree on its size by >1px is dropped and reported to ``on_warning``.
     """
 
     def key_of(image: ImageRef) -> LinkKey:
         return link_key(image.dataset_id, image.image_id, image.uri, registry, id_map)
 
     stream = _sorted_by_key(records, lambda bundle: key_of(bundle.image), run_size)
-    for _, group in itertools.groupby(stream, key=lambda kb: kb[0]):
+    for key, group in itertools.groupby(stream, key=lambda kb: kb[0]):
         merged = None
-        for _, bundle in group:
-            merged = bundle if merged is None else merge_bundles(merged, bundle, key=key_of)
+        try:
+            for _, bundle in group:
+                merged = bundle if merged is None else merge_bundles(merged, bundle, key=key_of)
+        except DimensionConflict as exc:
+            if on_warning:
+                on_warning({"image_id": str(key), "reason": f"image dropped: {exc}"})
+            continue
         yield merged
 
 
 def write_manifest(bundles: Iterable[MetadataBundle], path: str | Path) -> int:
-    """Write bundles as unified-manifest JSONL; returns the record count."""
+    """Write bundles as unified-manifest JSONL; returns the record count.
+
+    The records go to a temp file beside ``path`` that replaces it once all
+    are written, so whatever stops the writing leaves no partial manifest.
+    """
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for bundle in bundles:
-            fh.write(record_line(bundle_to_record(bundle)) + "\n")
-            count += 1
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for bundle in bundles:
+                fh.write(record_line(bundle_to_record(bundle)) + "\n")
+                count += 1
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return count

@@ -1,10 +1,12 @@
 """Per-shard execution: ingest, tree build, context, generation, writing.
 
 Workers are share-nothing; coordination happens through claim files and
-append-only per-shard outputs. Images in a shard run concurrently but
-results are committed in manifest order, so a full scripted run with a
-fixed seed is byte-identical across machines, and a crashed shard resumes
-without duplicate conversation ids.
+append-only per-shard outputs. One pool per worker runs images of every
+shard it claims, at most 2 x parallelism in flight, and claims the next
+shard while the current one drains. Each shard's results are committed in
+its manifest order, so a full scripted run with a fixed seed is
+byte-identical across machines, and a crashed shard resumes without
+duplicate conversation ids.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import replace
 from pathlib import Path
@@ -239,81 +242,81 @@ def _process_image(
         return None, None, timings
 
 
-def process_shard(
-    cfg: PipelineConfig,
-    shard_path: Path,
-    gateway: LlmGateway,
-    dist: PromptDistribution,
-    claim: ShardClaim,
-    summary: dict,
-) -> None:
-    """Process one claimed shard, adding its counts into ``summary``.
+class _OpenShard:
+    """A claimed shard, held from its claim to its last commit or the run's end.
 
-    Every commit first checks that ``claim`` is still the shard's newest
-    generation; once another worker has taken the shard over, nothing more
-    is written and the shard goes on ``lost_shards``. A commit appends the
-    image's tree line and then its conversation line, so the conversation
-    line is the commit record: resume skips images with a conversation and
-    cuts a final tree line that has none.
+    ``todo`` are its images still to run and ``futures`` its submitted images
+    not yet committed, in manifest order. Its heartbeat runs from the claim,
+    and ``closer`` closes it on any exit.
     """
-    shard = load_shard(shard_path)
-    shard_id = shard["shard_id"]
-    summary["shards"].append(shard_id)
-    out_dir = Path(cfg.output_dir)
-    conv_path = out_dir / f"conversations_shard_{shard_id:05d}.jsonl"
-    tree_path = out_dir / f"trees_shard_{shard_id:05d}.jsonl"
-    errors = _ErrorLog(out_dir / "errors.jsonl", shard_id, claim.worker_id)
-    done = _recover(conv_path, tree_path)
 
-    manifest_dir = Path(shard["manifest"]).resolve().parent
-    pending: list[tuple[dict, str, int, str]] = []
-    with open(shard["manifest"], encoding="utf-8") as fh:
+    def __init__(self, cfg: PipelineConfig, shard: dict, claim: ShardClaim, summary: dict,
+                 closer: ExitStack):
+        self.shard_id = shard["shard_id"]
+        self.claim = claim
+        self.summary = summary
+        self.futures: deque[Future] = deque()
+        self.submitted = self.lost = self.closed = False
+        self.heartbeat = HeartbeatThread(claim, cfg.heartbeat_s)
+        self.heartbeat.start()
+        self.files = ExitStack()
+        out_dir = Path(cfg.output_dir)
+        self.errors = _ErrorLog(out_dir / "errors.jsonl", self.shard_id, claim.worker_id)
+        closer.callback(self.close)
+        conv_path = out_dir / f"conversations_shard_{self.shard_id:05d}.jsonl"
+        tree_path = out_dir / f"trees_shard_{self.shard_id:05d}.jsonl"
+        done = _recover(conv_path, tree_path)
+        self.manifest = self.files.enter_context(open(shard["manifest"], encoding="utf-8"))
+        self.conv_out = self.files.enter_context(open(conv_path, "a", encoding="utf-8"))
+        self.tree_out = self.files.enter_context(open(tree_path, "a", encoding="utf-8"))
+        self.base_dir = Path(shard["manifest"]).resolve().parent
+        self.todo: deque[tuple[int, str, int, str]] = deque()
         for offset, key in zip(shard["offsets"], shard["keys"]):
             seed = image_seed(cfg.rng_seed, key)
             conv_id = f"{key}-{seed}"
             if conv_id in done:
                 summary["resumed"] += 1
-                continue
-            fh.seek(offset)
-            pending.append((json.loads(fh.readline()), key, seed, conv_id))
+            else:
+                self.todo.append((offset, key, seed, conv_id))
 
-    stage_s = summary["stage_s"]
-    with open(conv_path, "a", encoding="utf-8") as conv_out, open(
-        tree_path, "a", encoding="utf-8"
-    ) as tree_out:
-        with ThreadPoolExecutor(max_workers=max(1, cfg.parallelism)) as pool:
-            futures = [
-                pool.submit(_process_image, *image, cfg, dist, gateway, errors, manifest_dir)
-                for image in pending
-            ]
-            # commit strictly in manifest order for byte-stable outputs
-            for future in futures:
-                conv, tree_text, timings = future.result()
-                summary["images"] += 1
-                for stage, seconds in timings.items():
-                    stage_s[stage] += seconds
-                if conv is None:
-                    continue
-                if not claim.is_current():
-                    summary["lost_shards"].append(shard_id)
-                    break
-                t0 = time.monotonic()
-                if tree_text is not None:
-                    tree_out.write(
-                        json.dumps(
-                            {"id": conv.provenance["id"], "tree": tree_text},
-                            ensure_ascii=False,
-                        )
-                        + "\n"
-                    )
-                    tree_out.flush()
-                write_conversation(conv, conv_out)
-                stage_s["write"] += time.monotonic() - t0
-                summary["conversations"] += 1
-                summary["turns"] += len(conv.turns)
-            for future in futures:
+    def commit(self, result: tuple[Optional[Conversation], Optional[str], dict]) -> None:
+        """Count one image and commit its conversation, if it has one: while
+        the claim is the shard's newest generation, append the tree line, then
+        the conversation line, the commit record ``_recover`` reads. Once it
+        is not, the shard is lost and its images in flight are cancelled."""
+        conv, tree_text, timings = result
+        summary, stage_s = self.summary, self.summary["stage_s"]
+        summary["images"] += 1
+        for stage, seconds in timings.items():
+            stage_s[stage] += seconds
+        if conv is None:
+            return
+        if not self.claim.is_current():
+            self.lost = True
+            summary["lost_shards"].append(self.shard_id)
+            for future in self.futures:
                 future.cancel()
-    summary["errors"] += errors.count
+            return
+        t0 = time.monotonic()
+        if tree_text is not None:
+            line = json.dumps({"id": conv.provenance["id"], "tree": tree_text}, ensure_ascii=False)
+            self.tree_out.write(line + "\n")
+            self.tree_out.flush()
+        write_conversation(conv, self.conv_out)
+        stage_s["write"] += time.monotonic() - t0
+        summary["conversations"] += 1
+        summary["turns"] += len(conv.turns)
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        # the heartbeat stops first: a refresh after the release would
+        # rewrite the claim without its released mark
+        self.heartbeat.stop()
+        self.claim.release()  # a superseded claim is left alone
+        self.files.close()
+        self.summary["errors"] += self.errors.count
 
 
 def run_pipeline(
@@ -323,8 +326,8 @@ def run_pipeline(
 ) -> dict:
     """Claim and process every available shard; returns summary metrics.
 
-    A failing image costs only itself (see ``_process_image``); whatever
-    else ends a shard, its claim is released.
+    One pool runs the images of every claimed shard. A failing image costs
+    only itself (see ``_process_image``); any exit releases every claim.
     """
     dist = load_prompt_set(cfg.prompts_dir, cfg.prompts_set)
     shard_dir = cfg.resolved_shard_dir()
@@ -332,7 +335,8 @@ def run_pipeline(
     if not shard_paths:
         raise ConfigError(f"no shard files under {shard_dir}")
 
-    with ExitStack() as stack:  # closes the gateway, then stops the server
+    # closes the shards, cancels the images in flight, closes the gateway, stops the server
+    with ExitStack() as stack:
         gateway_cfg = cfg.gateway
         if cfg.gateway.mode == "scripted":
             rules = (
@@ -351,6 +355,11 @@ def run_pipeline(
         elif not probe_endpoint(cfg.gateway.endpoint_url):
             raise LlmUnavailable(f"endpoint unreachable: {cfg.gateway.endpoint_url}")
         gateway = stack.enter_context(closing(LlmGateway(gateway_cfg)))
+        threads = max(1, cfg.parallelism)
+        pool = ThreadPoolExecutor(max_workers=threads)
+        stack.callback(pool.shutdown, cancel_futures=True)
+        window: deque[_OpenShard] = deque()  # the shard of each image in flight
+        limit = 2 * threads  # images submitted and not yet committed
 
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -367,22 +376,42 @@ def run_pipeline(
             "lost_shards": [],
             "stage_s": {stage: 0.0 for stage in STAGES},
         }
+
+        def commit_until(in_flight: int) -> None:
+            # commit strictly in submission order for byte-stable outputs
+            while len(window) > in_flight:
+                shard = window.popleft()
+                future = shard.futures.popleft()
+                if not shard.lost:
+                    shard.commit(future.result())
+                if shard.submitted and not shard.futures:
+                    shard.close()
+
         for shard_path in shard_paths:
-            shard_id = load_shard(shard_path)["shard_id"]
+            shard_file = load_shard(shard_path)
+            shard_id = shard_file["shard_id"]
             if shard_filter is not None and shard_id not in shard_filter:
                 continue
             try:
-                claim = claim_shard(shard_path, worker_id, cfg.claim_staleness_s)
+                claim = claim_shard(shard_path, worker_id, cfg.claim_staleness_s, shard_id)
             except AlreadyClaimed:
                 summary["skipped_shards"] += 1
                 continue
-            heartbeat = HeartbeatThread(claim, cfg.heartbeat_s)
-            heartbeat.start()
-            try:
-                process_shard(cfg, shard_path, gateway, dist, claim, summary)
-            finally:
-                heartbeat.stop()
-                claim.release()  # a superseded claim is left alone
+            summary["shards"].append(shard_id)
+            shard = _OpenShard(cfg, shard_file, claim, summary, stack)
+            while shard.todo and not shard.lost:  # a closed shard keeps no image list
+                offset, *image = shard.todo.popleft()
+                shard.manifest.seek(offset)  # each record is read when it is submitted
+                record = json.loads(shard.manifest.readline())
+                shard.futures.append(pool.submit(
+                    _process_image, record, *image, cfg, dist, gateway, shard.errors, shard.base_dir
+                ))
+                window.append(shard)
+                commit_until(limit - 1)  # so the next shard is claimed while this one drains
+            shard.submitted = True
+            if not shard.futures:
+                shard.close()
+        commit_until(0)
         wall = time.monotonic() - started
         summary["wall_s"] = round(wall, 3)
         summary["conversations_per_hour"] = (

@@ -168,15 +168,17 @@ def claim_shard(
     shard_path: str | Path,
     worker_id: str,
     staleness_s: float = 300.0,
+    shard_id: Optional[int] = None,
 ) -> ShardClaim:
     """Claim the shard by publishing its next generation.
 
     Raises AlreadyClaimed when the newest generation is unreleased and its
     heartbeat is within ``staleness_s``, or when another worker publishes
-    the next generation first.
+    the next generation first. A given ``shard_id`` spares reading the shard.
     """
     shard_path = Path(shard_path)
-    shard_id = load_shard(shard_path)["shard_id"]
+    if shard_id is None:
+        shard_id = load_shard(shard_path)["shard_id"]
     current = current_generation(shard_path)
     if current:
         holder = claim_path_for(shard_path, current)

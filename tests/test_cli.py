@@ -8,7 +8,14 @@ import pytest
 
 from convogen import rle
 from convogen.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_RUNTIME, main
-from convogen.ingestion import DatasetRegistry, link_key, load_id_map
+from convogen.ingestion import (
+    DatasetRegistry,
+    group_by_image,
+    link_key,
+    load_id_map,
+    load_manifest,
+    write_manifest,
+)
 from convogen.metadata import record_line
 from convogen.sharding import plan_shards
 
@@ -454,6 +461,51 @@ class TestIngest:
             "coco:x42": ["Caption of C/X42.", "Caption of C/x42."],
             "coco:43": ["Caption of C/43."],
         }
+
+    def test_dimension_conflict_drops_only_that_image(self, tmp_path, capsys):
+        def record(dataset, stem, width, height):
+            caption = {"text": f"Caption of {dataset}/{stem}.", "source": dataset}
+            return {"dataset": dataset, "image_id": stem, "uri": f"{dataset}/{stem}.jpg",
+                    "width": width, "height": height, "captions": [caption], "boxes": [],
+                    "qas": []}
+
+        corpus = {
+            "a": [record("a", "img0", 640, 480), record("a", "img1", 640, 480)],
+            "b": [record("b", "img1", 800, 600), record("b", "img2", 320, 240)],
+        }
+        entries = []
+        for dataset, records in corpus.items():
+            manifest = tmp_path / f"{dataset}.jsonl"
+            manifest.write_text("".join(record_line(r) + "\n" for r in records))
+            entries.append({"dataset_id": dataset, "manifest_path": str(manifest)})
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(entries))
+        out = tmp_path / "grouped.jsonl"
+        assert main(["ingest", "--registry", str(registry), "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "wrote 2 grouped records" in printed and "(1 warnings)" in printed
+        ids = [json.loads(line)["image_id"] for line in out.read_text().splitlines()]
+        assert ids == ["img0", "img2"]
+
+        warnings = []
+        bundles = [b for d in ("a", "b") for b in load_manifest(tmp_path / f"{d}.jsonl")]
+        assert len(list(group_by_image(bundles, on_warning=warnings.append))) == 2
+        assert warnings == [{"image_id": "file-stem:img1",
+                             "reason": "image dropped: 640x480 vs 800x600 for 'a/img1.jpg'"}]
+
+    def test_write_manifest_leaves_no_partial_file(self, tmp_path):
+        bundles = list(load_manifest(write_fixture_manifest(tmp_path / "m.jsonl", 3)))
+
+        def fails_midway():
+            yield from bundles[:2]
+            raise RuntimeError("source went away")
+
+        out = tmp_path / "grouped.jsonl"
+        with pytest.raises(RuntimeError):
+            write_manifest(fails_midway(), out)
+        assert sorted(os.listdir(tmp_path)) == ["m.jsonl"]
+        assert write_manifest(iter(bundles), out) == 3
+        assert sorted(os.listdir(tmp_path)) == ["grouped.jsonl", "m.jsonl"]
 
     def test_conflicting_registry_exits_two(self, tmp_path):
         (tmp_path / "a.jsonl").write_text(record_line(rich_record(0)) + "\n")

@@ -1,9 +1,13 @@
 import json
+import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convogen import pipeline
 from convogen.cli import EXIT_CONFIG, main
@@ -19,7 +23,15 @@ from convogen.pipeline import (
     validate_conversation_record,
     write_conversation,
 )
-from convogen.sharding import claim_shard, load_shard, plan_shards
+from convogen.sharding import (
+    HeartbeatThread,
+    ShardClaim,
+    claim_path_for,
+    claim_shard,
+    current_generation,
+    load_shard,
+    plan_shards,
+)
 
 from conftest import PROMPTS_DIR, make_image
 from killed_worker import KILL_POINTS, assert_same_as_clean, run_killed_worker
@@ -156,8 +168,8 @@ class TestRunPipeline:
             assert validate_conversation_record(json.loads(line)) == []
 
     def test_connections_outlive_shards_and_close_with_the_run(self, tmp_path, monkeypatch):
-        # each shard gets a new thread pool; the gateway's connections are
-        # the same ones, and the run closes them before it returns
+        # the shards share one thread pool and the gateway's connections,
+        # and the run closes them before it returns
         connections = ConnectionLog(monkeypatch)
         gateways = []
 
@@ -321,3 +333,155 @@ class TestRunPipeline:
         )
         with pytest.raises(ConfigError):
             run_pipeline(cfg)
+
+
+def shard_bytes(out_dir: Path, shard_id: int) -> list[bytes]:
+    return [
+        (out_dir / f"{kind}_shard_{shard_id:05d}.jsonl").read_bytes()
+        for kind in ("conversations", "trees")
+    ]
+
+
+class TestWorkerPool:
+    def test_pool_spans_shard_boundaries_within_a_bounded_window(self, tmp_path, monkeypatch):
+        cfg = scripted_config(tmp_path / "pool", n=16, shards=4, parallelism=2,
+                              scripted_latency_base_ms=2.0)
+        sizes = [len(load_shard(p)["keys"]) for p in sorted(Path(cfg.shard_dir).glob("shard_*.json"))]
+        assert len(sizes) == 4 and min(sizes) >= 3
+        events = []
+        real_claim, real_release = pipeline.claim_shard, ShardClaim.release
+
+        def claim(*args, **kwargs):
+            held = real_claim(*args, **kwargs)
+            events.append(("claim", held.shard_id))
+            return held
+
+        def release(self):
+            events.append(("release", self.shard_id))
+            real_release(self)
+
+        submitted, committed, in_flight = [0], [0], []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted[0] += 1
+                in_flight.append(submitted[0] - committed[0])
+                return super().submit(fn, *args, **kwargs)
+
+        real_write = pipeline.write_conversation
+
+        def write(conv, out):
+            real_write(conv, out)
+            committed[0] += 1
+
+        monkeypatch.setattr(pipeline, "claim_shard", claim)
+        monkeypatch.setattr(ShardClaim, "release", release)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(pipeline, "write_conversation", write)
+        summary = run_pipeline(cfg, worker_id="w1")
+        assert summary["conversations"] == committed[0] == submitted[0] == 16
+        # the next shard is claimed while the one before it still drains
+        for k in range(1, 4):
+            assert events.index(("claim", k)) < events.index(("release", k - 1)), events
+        assert sorted(events) == sorted([("claim", k) for k in range(4)]
+                                        + [("release", k) for k in range(4)])
+        assert max(in_flight) == 2 * cfg.parallelism
+
+        # one image at a time commits the same bytes
+        monkeypatch.undo()
+        serial = scripted_config(tmp_path / "serial", n=16, shards=4, parallelism=1)
+        run_pipeline(serial, worker_id="serial")
+        ids, _ = assert_same_as_clean(Path(cfg.output_dir), Path(serial.output_dir))
+        assert len(ids) == 16
+
+    def test_lost_claim_costs_only_its_shard(self, tmp_path, monkeypatch):
+        clean = scripted_config(tmp_path / "clean", n=6, shards=2)
+        run_pipeline(clean, worker_id="clean")
+        cfg = scripted_config(tmp_path / "lost", n=6, shards=2)
+        shard_path = Path(cfg.shard_dir) / "shard_00000.json"
+        real_write = pipeline.write_conversation
+        takeovers = []
+
+        def write_then_lose_claim(conv, out):
+            real_write(conv, out)
+            if not takeovers:
+                takeovers.append(claim_shard(shard_path, "usurper", staleness_s=-1.0))
+
+        monkeypatch.setattr(pipeline, "write_conversation", write_then_lose_claim)
+        summary = run_pipeline(cfg, worker_id="w1")
+        out = Path(cfg.output_dir)
+        assert summary["lost_shards"] == [0] and summary["shards"] == [0, 1]
+        assert len((out / "conversations_shard_00000.jsonl").read_text().splitlines()) == 1
+        assert shard_bytes(out, 1) == shard_bytes(Path(clean.output_dir), 1)
+        assert summary["conversations"] == 1 + len(load_shard(Path(cfg.shard_dir) / "shard_00001.json")["keys"])
+        assert takeovers[0].is_current()
+
+    def test_a_failing_shard_set_up_releases_every_claim(self, tmp_path, capsys, monkeypatch):
+        # shard 0 is in flight when recovering shard 1 finds a damaged line
+        cfg = scripted_config(tmp_path, n=6, shards=2, heartbeat_s=0.01,
+                              scripted_latency_base_ms=5.0)
+        real_release, released = ShardClaim.release, []
+
+        def release(self):
+            # a heartbeat that outlived the release would rewrite the claim
+            # without its released mark
+            beating = [t for t in threading.enumerate()
+                       if isinstance(t, HeartbeatThread) and t.claim is self and t.is_alive()]
+            assert not beating, f"shard {self.shard_id} released with its heartbeat running"
+            released.append(self.shard_id)
+            real_release(self)
+
+        monkeypatch.setattr(ShardClaim, "release", release)
+        out = Path(cfg.output_dir)
+        out.mkdir()
+        (out / "conversations_shard_00001.jsonl").write_text("not json\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(asdict(cfg)), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--worker-id", "w1"]) == EXIT_CONFIG
+        assert "conversations_shard_00001.jsonl, line 1" in capsys.readouterr().err
+        assert sorted(released) == [0, 1]
+        assert not [t for t in threading.enumerate() if isinstance(t, HeartbeatThread)]
+        for shard_path in sorted(Path(cfg.shard_dir).glob("shard_*.json")):
+            newest = claim_path_for(shard_path, current_generation(shard_path))
+            body = json.loads(newest.read_text())
+            assert body["worker_id"] == "w1" and body["released"] is True
+
+
+@pytest.fixture(scope="module")
+def clean_pool_run(tmp_path_factory):
+    """A clean three-shard run and its append stream: (file name, line) in
+    the order the lines were appended, each tree line before its
+    conversation line and shard after shard."""
+    cfg = scripted_config(tmp_path_factory.mktemp("clean"), n=8, shards=3, parallelism=2)
+    run_pipeline(cfg, worker_id="clean")
+    out = Path(cfg.output_dir)
+    stream = []
+    for conv_file in sorted(out.glob("conversations_shard_*.jsonl")):
+        tree_file = out / conv_file.name.replace("conversations", "trees")
+        trees = {json.loads(line)["id"]: line
+                 for line in tree_file.read_bytes().splitlines(keepends=True)}
+        for line in conv_file.read_bytes().splitlines(keepends=True):
+            tree = trees.get(json.loads(line)["id"])
+            if tree is not None:
+                stream.append((tree_file.name, tree))
+            stream.append((conv_file.name, line))
+    return cfg, stream
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_resume_after_a_cut_at_any_byte(clean_pool_run, data):
+    cfg, stream = clean_pool_run
+    assert len({name for name, _ in stream}) == 4  # shard 0 of 3 is empty
+    cut = data.draw(st.integers(0, sum(len(line) for _, line in stream)), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        left = cut
+        for name, line in stream:
+            if left <= 0:
+                break
+            with open(Path(tmp) / name, "ab") as fh:
+                fh.write(line[:left])
+            left -= len(line)
+        run_pipeline(replace(cfg, output_dir=tmp), worker_id="resumer")
+        ids, tree_ids = assert_same_as_clean(Path(tmp), Path(cfg.output_dir))
+        assert len(ids) == 8 and tree_ids == ids
