@@ -58,7 +58,7 @@ def defined_functions() -> dict[tuple[str, int], str]:
 def write_corpus(work: Path, images: int) -> dict[str, Path]:
     """Three datasets: two share image ids (and, drawn from one seed, image
     sizes) in a "coco" namespace, one links by file stem and has an id-map
-    entry."""
+    entry and a line that is not JSON, which ingest reports as a warning."""
     entries = []
     for dataset, namespace, seed in [
         ("coco-a", "coco", 0), ("coco-b", "coco", 0), ("stems", "file-stem", 1)
@@ -66,6 +66,9 @@ def write_corpus(work: Path, images: int) -> dict[str, Path]:
         manifest = write_synthetic_manifest(
             work / f"{dataset}.jsonl", images, seed=seed, dataset=dataset, max_boxes=8
         )
+        if namespace == "file-stem":
+            with open(manifest, "a", encoding="utf-8") as fh:
+                fh.write("{not json\n")
         entries.append(
             {"dataset_id": dataset, "manifest_path": str(manifest), "link_namespace": namespace}
         )
@@ -88,6 +91,7 @@ def run_config(work: Path, name: str, grouped: Path, **overrides) -> str:
         "prompts_set": "default",
         "shard_dir": str(work / "shards"),
         "parallelism": 2,
+        "heartbeat_s": 0.01,  # so each claim's heartbeat refreshes during a run
         "gateway": {"mode": "scripted", "backoff_base_ms": 1},
         **overrides,
     }
@@ -148,7 +152,8 @@ def main() -> None:
         threading.setprofile(profile)
         sys.setprofile(profile)
         try:
-            with contextlib.redirect_stdout(io.StringIO()):
+            quiet = io.StringIO()
+            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
                 exercise(work, args.images)
         finally:
             sys.setprofile(None)

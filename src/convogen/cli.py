@@ -38,13 +38,22 @@ EXIT_RUNTIME = 4
 def _cmd_ingest(args) -> int:
     registry = DatasetRegistry.from_config(args.registry)
     id_map = load_id_map(args.id_map) if args.id_map else None
-    warnings: list[dict] = []
+    warnings: list[str] = []
+
+    def warn_at(prefix: str):
+        def warn(warning: dict) -> None:
+            where = (f"line {warning['line']}" if "line" in warning
+                     else f"image {warning.get('image_id', '?')}")
+            warnings.append(f"warning: {prefix}{where}: {warning['reason']}")
+            print(warnings[-1], file=sys.stderr)
+        return warn
 
     def all_bundles():
         for desc in registry:
-            yield from load_manifest(desc.manifest_path, warnings.append)
+            prefix = f"manifest {desc.manifest_path}, "
+            yield from load_manifest(desc.manifest_path, warn_at(prefix))
 
-    grouped = group_by_image(all_bundles(), registry, id_map, on_warning=warnings.append)
+    grouped = group_by_image(all_bundles(), registry, id_map, on_warning=warn_at(""))
     count = write_manifest(grouped, args.out)
     print(f"wrote {count} grouped records to {args.out} ({len(warnings)} warnings)")
     return EXIT_OK
@@ -125,7 +134,7 @@ def _cmd_tree(args) -> int:
                 raise ConfigError(
                     f"manifest {args.manifest}, line {index + 1}: unparseable record: {exc!r}"
                 ) from exc
-            _, ascii_tree = build_scene_tree(list(bundle.boxes), bundle.image, params)
+            ascii_tree = build_scene_tree(list(bundle.boxes), bundle.image, params)
             print(f"# {bundle.image.uri} ({bundle.image.width}x{bundle.image.height})")
             print(ascii_tree if ascii_tree else "(no regions)")
             return EXIT_OK

@@ -147,8 +147,8 @@ def open_input(path: str | Path, what: str, mode: str = "r") -> IO:
 
 
 def load_id_map(path: str | Path) -> dict[tuple[str, str], str]:
-    """JSON Lines of {"dataset", "image_id", "canonical_id"}; a bad row is a
-    config error naming its line."""
+    """JSON Lines of {"dataset", "image_id", "canonical_id"}, all strings and
+    the canonical id not blank; a bad row is a config error naming its line."""
     mapping: dict[tuple[str, str], str] = {}
     with open_input(path, "id map") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -156,9 +156,16 @@ def load_id_map(path: str | Path) -> dict[tuple[str, str], str]:
                 continue
             try:
                 row = json.loads(line)
-                mapping[(row["dataset"], str(row["image_id"]))] = row["canonical_id"]
+                dataset, image_id, canonical = row["dataset"], row["image_id"], row["canonical_id"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"id map {path}, line {lineno}: bad row: {exc!r}") from exc
+            strings = all(isinstance(v, str) for v in (dataset, image_id, canonical))
+            if not strings or not canonical.strip():
+                raise ConfigError(
+                    f"id map {path}, line {lineno}: dataset, image_id and canonical_id "
+                    "must be strings, canonical_id not blank"
+                )
+            mapping[(dataset, image_id)] = canonical
     return mapping
 
 

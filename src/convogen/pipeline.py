@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -32,7 +31,7 @@ from .ingestion import load_bundle
 from .prompts import PromptDistribution, load_prompt_set
 from .scene_tree import build_scene_tree
 from .scripted_server import ScriptedLlmServer, default_pipeline_rules, load_fixture_file
-from .sharding import HeartbeatThread, ShardClaim, claim_shard, load_shard
+from .sharding import ShardClaim, claim_shard, load_shard
 
 STAGES = ("ingest", "tree", "context", "generate", "write")
 IMAGE_TOKEN = "<image>"
@@ -94,27 +93,7 @@ def validate_conversation_record(record: dict) -> list[str]:
     return problems
 
 
-class _ErrorLog:
-    """Append-only JSONL sink of one shard's image rows, shared by the
-    worker's threads. A failure row names the exception class under
-    ``error``; skip and ingest-warning rows have no ``error``."""
-
-    def __init__(self, path: Path, shard: int, worker: str):
-        self.path = path
-        self.shard = shard
-        self.worker = worker
-        self._lock = threading.Lock()
-        self.count = 0
-
-    def write(self, image_id: str, stage: str, reason: str, error: Optional[str] = None) -> None:
-        row = {"image_id": image_id, "shard": self.shard, "worker": self.worker, "stage": stage}
-        if error is not None:
-            row["error"] = error
-        row["reason"] = reason
-        with self._lock:
-            self.count += 1
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+_Result = tuple[Optional[Conversation], Optional[str], dict, list]
 
 
 def _line_id(line: bytes, path: Path, lineno: int):
@@ -169,34 +148,34 @@ def _process_image(
     cfg: PipelineConfig,
     dist: PromptDistribution,
     gateway: LlmGateway,
-    errors: _ErrorLog,
     base_dir: Optional[Path] = None,
-) -> tuple[Optional[Conversation], Optional[str], dict]:
-    """Run one image through the enabled stages.
+) -> _Result:
+    """Run one image through the enabled stages; it writes nothing.
 
-    Returns (conversation, ascii tree, stage timings); conversation is None
-    when the image was skipped or failed, with its row already logged. This
-    is the image's one failure boundary: whatever a bad record or a bad
-    model reply raises becomes a row naming the stage and the exception
-    class, and costs this image only.
+    Returns (conversation, ascii tree, stage timings, rows): the rows, for
+    ``errors.jsonl``, are its ingest warnings and its skip or failure, as
+    (image id, stage, reason, error class or None); the conversation is None
+    when it was skipped or failed. This is the image's one failure boundary:
+    whatever a bad record or a bad model reply raises becomes a row naming
+    the stage and the exception class, and costs this image only.
     """
     timings: dict[str, float] = {}
     image_id = str(record.get("image_id", "?"))
+    rows: list[tuple[str, str, str, Optional[str]]] = []
     stage, t0 = "ingest", time.monotonic()
     try:
         warnings: list[dict] = []
         bundle = load_bundle(record, warnings.append, base_dir=base_dir)
-        for warning in warnings:
-            errors.write(image_id, "ingest", warning.get("reason", "warning"))
+        rows += [(image_id, "ingest", w.get("reason", "warning"), None) for w in warnings]
         timings["ingest"] = time.monotonic() - t0
         if not bundle.is_admissible:
-            errors.write(image_id, "ingest", "bundle has no annotations")
-            return None, None, timings
+            rows.append((image_id, "ingest", "bundle has no annotations", None))
+            return None, None, timings, rows
 
         stage, t0 = "tree", time.monotonic()
         tree_text = ""
         if cfg.features.bbox_conversion and bundle.boxes:
-            _, tree_text = build_scene_tree(list(bundle.boxes), bundle.image, cfg.scene)
+            tree_text = build_scene_tree(list(bundle.boxes), bundle.image, cfg.scene)
         timings["tree"] = time.monotonic() - t0
 
         stage, t0 = "context", time.monotonic()
@@ -212,8 +191,8 @@ def _process_image(
         )
         timings["context"] = time.monotonic() - t0
         if not ctx.sentences:
-            errors.write(image_id, "context", "empty context")
-            return None, None, timings
+            rows.append((image_id, "context", "empty context", None))
+            return None, None, timings, rows
 
         stage, t0 = "generate", time.monotonic()
         filtering = cfg.features.filtering
@@ -235,19 +214,19 @@ def _process_image(
             "width": bundle.image.width,
             "height": bundle.image.height,
         }
-        return conv, tree_text if tree_text else None, timings
+        return conv, tree_text if tree_text else None, timings, rows
     except Exception as exc:
         timings[stage] = time.monotonic() - t0
-        errors.write(image_id, stage, str(exc), error=type(exc).__name__)
-        return None, None, timings
+        rows.append((image_id, stage, str(exc), type(exc).__name__))
+        return None, None, timings, rows
 
 
 class _OpenShard:
     """A claimed shard, held from its claim to its last commit or the run's end.
 
-    ``todo`` are its images still to run and ``futures`` its submitted images
-    not yet committed, in manifest order. Its heartbeat runs from the claim,
-    and ``closer`` closes it on any exit.
+    ``todo`` are its images still to submit, in manifest order; a lost shard
+    has none. ``held`` closes its files, then releases its claim; ``closer``
+    closes it on any exit, and a second close does nothing.
     """
 
     def __init__(self, cfg: PipelineConfig, shard: dict, claim: ShardClaim, summary: dict,
@@ -255,20 +234,17 @@ class _OpenShard:
         self.shard_id = shard["shard_id"]
         self.claim = claim
         self.summary = summary
-        self.futures: deque[Future] = deque()
-        self.submitted = self.lost = self.closed = False
-        self.heartbeat = HeartbeatThread(claim, cfg.heartbeat_s)
-        self.heartbeat.start()
-        self.files = ExitStack()
+        self.held = ExitStack()
+        self.held.callback(claim.release)  # a superseded claim is left alone
+        closer.callback(self.held.close)
         out_dir = Path(cfg.output_dir)
-        self.errors = _ErrorLog(out_dir / "errors.jsonl", self.shard_id, claim.worker_id)
-        closer.callback(self.close)
+        self.errors_path = out_dir / "errors.jsonl"
         conv_path = out_dir / f"conversations_shard_{self.shard_id:05d}.jsonl"
         tree_path = out_dir / f"trees_shard_{self.shard_id:05d}.jsonl"
         done = _recover(conv_path, tree_path)
-        self.manifest = self.files.enter_context(open(shard["manifest"], encoding="utf-8"))
-        self.conv_out = self.files.enter_context(open(conv_path, "a", encoding="utf-8"))
-        self.tree_out = self.files.enter_context(open(tree_path, "a", encoding="utf-8"))
+        self.manifest = self.held.enter_context(open(shard["manifest"], encoding="utf-8"))
+        self.conv_out = self.held.enter_context(open(conv_path, "a", encoding="utf-8"))
+        self.tree_out = self.held.enter_context(open(tree_path, "a", encoding="utf-8"))
         self.base_dir = Path(shard["manifest"]).resolve().parent
         self.todo: deque[tuple[int, str, int, str]] = deque()
         for offset, key in zip(shard["offsets"], shard["keys"]):
@@ -279,24 +255,33 @@ class _OpenShard:
             else:
                 self.todo.append((offset, key, seed, conv_id))
 
-    def commit(self, result: tuple[Optional[Conversation], Optional[str], dict]) -> None:
-        """Count one image and commit its conversation, if it has one: while
-        the claim is the shard's newest generation, append the tree line, then
-        the conversation line, the commit record ``_recover`` reads. Once it
-        is not, the shard is lost and its images in flight are cancelled."""
-        conv, tree_text, timings = result
+    def commit(self, result: _Result) -> bool:
+        """Count one image, append its ``errors.jsonl`` rows and commit its
+        conversation, if it has one: while the claim is the shard's newest
+        generation, append the tree line, then the conversation line, the
+        commit record ``_recover`` reads. Once it is not, the shard is lost
+        and this returns False."""
+        conv, tree_text, timings, rows = result
         summary, stage_s = self.summary, self.summary["stage_s"]
         summary["images"] += 1
         for stage, seconds in timings.items():
             stage_s[stage] += seconds
+        if rows:
+            summary["errors"] += len(rows)
+            with open(self.errors_path, "a", encoding="utf-8") as fh:
+                for image_id, stage, reason, error in rows:
+                    row = {"image_id": image_id, "shard": self.shard_id,
+                           "worker": self.claim.worker_id, "stage": stage}
+                    if error is not None:
+                        row["error"] = error
+                    row["reason"] = reason
+                    fh.write(json.dumps(row, ensure_ascii=False) + "\n")
         if conv is None:
-            return
+            return True
         if not self.claim.is_current():
-            self.lost = True
+            self.todo.clear()
             summary["lost_shards"].append(self.shard_id)
-            for future in self.futures:
-                future.cancel()
-            return
+            return False
         t0 = time.monotonic()
         if tree_text is not None:
             line = json.dumps({"id": conv.provenance["id"], "tree": tree_text}, ensure_ascii=False)
@@ -306,17 +291,7 @@ class _OpenShard:
         stage_s["write"] += time.monotonic() - t0
         summary["conversations"] += 1
         summary["turns"] += len(conv.turns)
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        # the heartbeat stops first: a refresh after the release would
-        # rewrite the claim without its released mark
-        self.heartbeat.stop()
-        self.claim.release()  # a superseded claim is left alone
-        self.files.close()
-        self.summary["errors"] += self.errors.count
+        return True
 
 
 def run_pipeline(
@@ -358,8 +333,9 @@ def run_pipeline(
         threads = max(1, cfg.parallelism)
         pool = ThreadPoolExecutor(max_workers=threads)
         stack.callback(pool.shutdown, cancel_futures=True)
-        window: deque[_OpenShard] = deque()  # the shard of each image in flight
-        limit = 2 * threads  # images submitted and not yet committed
+        # each image submitted and not yet committed, in submission order
+        window: deque[tuple[_OpenShard, Future]] = deque()
+        limit = 2 * threads
 
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -380,12 +356,13 @@ def run_pipeline(
         def commit_until(in_flight: int) -> None:
             # commit strictly in submission order for byte-stable outputs
             while len(window) > in_flight:
-                shard = window.popleft()
-                future = shard.futures.popleft()
-                if not shard.lost:
-                    shard.commit(future.result())
-                if shard.submitted and not shard.futures:
-                    shard.close()
+                shard, future = window.popleft()
+                # a shard's images are contiguous in the window
+                if not shard.commit(future.result()):  # lost: drop the rest of them
+                    while window and window[0][0] is shard:
+                        window.popleft()[1].cancel()
+                if not shard.todo and not (window and window[0][0] is shard):
+                    shard.held.close()
 
         for shard_path in shard_paths:
             shard_file = load_shard(shard_path)
@@ -393,24 +370,23 @@ def run_pipeline(
             if shard_filter is not None and shard_id not in shard_filter:
                 continue
             try:
-                claim = claim_shard(shard_path, worker_id, cfg.claim_staleness_s, shard_id)
+                claim = claim_shard(shard_path, worker_id, cfg.claim_staleness_s, shard_id,
+                                    cfg.heartbeat_s)
             except AlreadyClaimed:
                 summary["skipped_shards"] += 1
                 continue
             summary["shards"].append(shard_id)
             shard = _OpenShard(cfg, shard_file, claim, summary, stack)
-            while shard.todo and not shard.lost:  # a closed shard keeps no image list
+            while shard.todo:
                 offset, *image = shard.todo.popleft()
                 shard.manifest.seek(offset)  # each record is read when it is submitted
                 record = json.loads(shard.manifest.readline())
-                shard.futures.append(pool.submit(
-                    _process_image, record, *image, cfg, dist, gateway, shard.errors, shard.base_dir
-                ))
-                window.append(shard)
+                window.append((shard, pool.submit(
+                    _process_image, record, *image, cfg, dist, gateway, shard.base_dir
+                )))
                 commit_until(limit - 1)  # so the next shard is claimed while this one drains
-            shard.submitted = True
-            if not shard.futures:
-                shard.close()
+            if not (window and window[-1][0] is shard):
+                shard.held.close()
         commit_until(0)
         wall = time.monotonic() - started
         summary["wall_s"] = round(wall, 3)

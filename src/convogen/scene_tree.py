@@ -394,9 +394,10 @@ def build_scene_tree(
     boxes: list[BoxAnnotation],
     image: ImageRef,
     params: SceneTreeParams,
-) -> tuple[SceneTree, str]:
-    """Full pipeline for one image: merge, place, group, serialize."""
+) -> str:
+    """Full pipeline for one image: merge, place, group, serialize; returns
+    the ASCII tree."""
     regions = [region_from_box(b, image) for b in boxes]
     merged = merge_duplicates(regions, params)
     tree = group_and_count(build_tree(merged, params), params)
-    return tree, serialize_tree(tree, image)
+    return serialize_tree(tree, image)

@@ -9,7 +9,8 @@ released or stale generation exactly one publishes its successor. Workers
 never delete claim files, so no generation is reused; the holder of a
 superseded generation sees the newer file and stops refreshing, releasing
 or committing output under its claim (a fencing token). A live claim has a
-heartbeat within the staleness window and no ``released`` mark.
+heartbeat within the staleness window and no ``released`` mark. Each claim
+runs its own heartbeat from its claim to its release.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import AlreadyClaimed
+from .errors import AlreadyClaimed, ConfigError
 from .ingestion import DatasetRegistry, WarnFn, link_key, open_input
 
 
@@ -76,22 +77,39 @@ def plan_shards(
     paths = []
     for shard in shards:
         path = out_dir / f"shard_{shard['shard_id']:05d}.json"
-        path.write_text(json.dumps(shard), encoding="utf-8")
+        tmp = _write_temp(path, json.dumps(shard))
+        try:
+            os.replace(tmp, path)  # no torn shard file
+        finally:
+            tmp.unlink(missing_ok=True)
         paths.append(path)
     return paths
 
 
 def load_shard(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a shard file; anything but a JSON object with the fields
+    ``plan_shards`` writes is a ConfigError naming the file."""
+    try:
+        shard = json.loads(Path(path).read_text(encoding="utf-8"))
+        if {"shard_id", "manifest", "offsets", "keys"} <= shard.keys():
+            return shard
+    except (ValueError, AttributeError):
+        pass
+    raise ConfigError(
+        f"damaged shard file {path}: not a JSON object with shard_id, manifest, offsets and keys"
+    )
 
 
 @dataclass
 class ShardClaim:
-    """One generation of ownership of a shard.
+    """One generation of ownership of a shard, with its heartbeat.
 
     The generation is a fencing token: it is never reused, and a later
     generation always supersedes an earlier one, so a deposed holder can
     detect that it lost the shard and leaves its successor's claim alone.
+    ``heartbeat_thread`` refreshes the claim every ``heartbeat_s`` until it
+    is released or superseded. Refresh and release take the claim's lock,
+    and a released claim never refreshes, so no refresh undoes a release.
     """
 
     shard_id: int
@@ -99,6 +117,19 @@ class ShardClaim:
     heartbeat: float
     shard_path: Path
     generation: int
+    heartbeat_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        self.released = threading.Event()
+        self._lock = threading.Lock()
+        self.heartbeat_thread = threading.Thread(
+            target=self._beat, name=f"heartbeat {self.path}", daemon=True
+        )
+
+    def _beat(self) -> None:
+        while not self.released.wait(self.heartbeat_s):
+            if not self.refresh():
+                return
 
     @property
     def path(self) -> Path:
@@ -126,19 +157,25 @@ class ShardClaim:
     def refresh(self) -> bool:
         """Atomically rewrite the claim with a fresh heartbeat.
 
-        Returns False, and writes nothing, once the claim is superseded.
+        Returns False, and writes nothing, once the claim is released or
+        superseded.
         """
-        if not self.is_current():
-            return False
-        self.heartbeat = time.time()
-        os.replace(_write_temp(self.path, self._body()), self.path)
-        return True
+        with self._lock:
+            if self.released.is_set() or not self.is_current():
+                return False
+            self.heartbeat = time.time()
+            os.replace(_write_temp(self.path, self._body()), self.path)
+            return True
 
     def release(self) -> None:
-        """Mark the claim released so the shard can be claimed again; a
-        superseded claim is left as it is."""
-        if self.is_current():
-            os.replace(_write_temp(self.path, self._body(released=True)), self.path)
+        """Mark the claim released so the shard can be claimed again, and
+        stop its heartbeat; a superseded claim is left as it is."""
+        self.released.set()  # a refresh not yet in the lock writes nothing
+        with self._lock:
+            if self.is_current():
+                os.replace(_write_temp(self.path, self._body(released=True)), self.path)
+        if self.heartbeat_thread.is_alive():
+            self.heartbeat_thread.join()
 
 
 def claim_path_for(shard_path: str | Path, generation: int) -> Path:
@@ -169,8 +206,10 @@ def claim_shard(
     worker_id: str,
     staleness_s: float = 300.0,
     shard_id: Optional[int] = None,
+    heartbeat_s: float = 30.0,
 ) -> ShardClaim:
-    """Claim the shard by publishing its next generation.
+    """Claim the shard by publishing its next generation, and start its
+    heartbeat.
 
     Raises AlreadyClaimed when the newest generation is unreleased and its
     heartbeat is within ``staleness_s``, or when another worker publishes
@@ -197,6 +236,7 @@ def claim_shard(
         heartbeat=time.time(),
         shard_path=shard_path,
         generation=current + 1,
+        heartbeat_s=heartbeat_s,
     )
     tmp = _write_temp(claim.path, claim._body())
     try:
@@ -205,23 +245,5 @@ def claim_shard(
         raise AlreadyClaimed(f"{claim.path} published by another worker") from None
     finally:
         os.unlink(tmp)
+    claim.heartbeat_thread.start()
     return claim
-
-
-class HeartbeatThread(threading.Thread):
-    """Refreshes a claim periodically until stopped or superseded."""
-
-    def __init__(self, claim: ShardClaim, interval_s: float = 30.0):
-        super().__init__(daemon=True)
-        self.claim = claim
-        self.interval_s = interval_s
-        self._halt = threading.Event()
-
-    def run(self) -> None:
-        while not self._halt.wait(self.interval_s):
-            if not self.claim.refresh():
-                return
-
-    def stop(self) -> None:
-        self._halt.set()
-        self.join(timeout=5)

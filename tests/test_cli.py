@@ -127,7 +127,8 @@ class TestTree:
 
 def write_bad_input(tmp_path, flag: str, kind: str) -> Path:
     """The file for ``flag`` with one fault after a valid line 1: a non-JSON
-    line 2, an unknown program on line 2, or no file at all."""
+    line 2, an unknown program on line 2, an id-map row with a value that is
+    not a string or is blank on line 2, or no file at all."""
     path = tmp_path / f"{kind}.jsonl"
     if flag == "--id-map":
         valid = {"dataset": "fixture", "image_id": "0000", "canonical_id": "x"}
@@ -136,6 +137,12 @@ def write_bad_input(tmp_path, flag: str, kind: str) -> Path:
     bad = {
         "non-json": "{not json",
         "unknown-program": json.dumps({"pattern": ".", "program": "no-such-program"}),
+        "canonical-id-not-string": json.dumps(
+            {"dataset": "fixture", "image_id": "0001", "canonical_id": 5}),
+        "canonical-id-blank": json.dumps(
+            {"dataset": "fixture", "image_id": "0001", "canonical_id": " "}),
+        "image-id-not-string": json.dumps(
+            {"dataset": "fixture", "image_id": 1, "canonical_id": "y"}),
     }
     if kind in bad:
         path.write_text(json.dumps(valid) + "\n" + bad[kind] + "\n")
@@ -151,6 +158,9 @@ class TestInputFileFaults:
         [
             ("ingest", "--id-map", "non-json"),
             ("ingest", "--id-map", "missing"),
+            ("ingest", "--id-map", "canonical-id-not-string"),
+            ("ingest", "--id-map", "canonical-id-blank"),
+            ("plan", "--id-map", "image-id-not-string"),
             ("plan", "--id-map", "non-json"),
             ("plan", "--id-map", "missing"),
             ("plan", "--manifest", "missing"),
@@ -482,8 +492,10 @@ class TestIngest:
         registry.write_text(json.dumps(entries))
         out = tmp_path / "grouped.jsonl"
         assert main(["ingest", "--registry", str(registry), "--out", str(out)]) == EXIT_OK
-        printed = capsys.readouterr().out
-        assert "wrote 2 grouped records" in printed and "(1 warnings)" in printed
+        printed = capsys.readouterr()
+        assert printed.out == f"wrote 2 grouped records to {out} (1 warnings)\n"
+        assert printed.err == ("warning: image file-stem:img1: image dropped: "
+                               "640x480 vs 800x600 for 'a/img1.jpg'\n")
         ids = [json.loads(line)["image_id"] for line in out.read_text().splitlines()]
         assert ids == ["img0", "img2"]
 
@@ -492,6 +504,19 @@ class TestIngest:
         assert len(list(group_by_image(bundles, on_warning=warnings.append))) == 2
         assert warnings == [{"image_id": "file-stem:img1",
                              "reason": "image dropped: 640x480 vs 800x600 for 'a/img1.jpg'"}]
+
+    def test_ingest_prints_a_line_warning_naming_the_manifest(self, tmp_path, capsys):
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 2)
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps([{"dataset_id": "fixture", "manifest_path": str(manifest)}]))
+        out = tmp_path / "grouped.jsonl"
+        assert main(["ingest", "--registry", str(registry), "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr()
+        assert printed.out == f"wrote 2 grouped records to {out} (1 warnings)\n"
+        assert printed.err.startswith(f"warning: manifest {manifest}, line 3: unparseable record")
+        assert printed.err.count("\n") == 1
 
     def test_write_manifest_leaves_no_partial_file(self, tmp_path):
         bundles = list(load_manifest(write_fixture_manifest(tmp_path / "m.jsonl", 3)))

@@ -24,7 +24,8 @@ CLEAN = [rich_record(i) for i in range(4)]
 ROW_KEYS = {"image_id", "shard", "worker", "stage", "reason"}
 
 
-def run_over(records: list[dict], base: Path, url: str = "") -> tuple[dict, list[dict]]:
+def run_over(records: list[dict], base: Path, url: str = "",
+             parallelism: int = 3) -> tuple[dict, list[dict]]:
     """Plan one shard over ``records`` and run one worker on it; returns
     the summary and the lines the plan skipped. Without ``url`` the worker
     starts its own scripted server."""
@@ -45,7 +46,7 @@ def run_over(records: list[dict], base: Path, url: str = "") -> tuple[dict, list
         prompts_set="staged_min",
         shard_dir=str(base / "shards"),
         rng_seed=7,
-        parallelism=3,
+        parallelism=parallelism,
         gateway=gateway,
         features=FeatureFlags(filtering=True, bbox_conversion=True, reduction=True),
     )
@@ -221,3 +222,29 @@ def test_scripted_fault_costs_exactly_its_image(clean_run, tmp_path, fault):
     assert (row["shard"], row["worker"], row["stage"], row["error"]) == (
         0, "w", "generate", error
     )
+
+
+def test_error_rows_are_written_in_commit_order(tmp_path):
+    # the target fails late, after its generate retries; the records after
+    # it are skipped or fail at once, in ingest
+    no_annotations = dict(rich_record(100), captions=[], boxes=[], qas=[])
+    null_bbox, bad_mask = rich_record(101), rich_record(102)
+    null_bbox["boxes"][0]["bbox"] = None
+    bad_mask["boxes"][0]["mask_rle"] = BAD_RUNS[0]
+    records = CLEAN[:3] + [no_annotations, null_bbox, bad_mask] + CLEAN[3:]
+    rules, _, error = FAULTS["generate-500-past-retries"]
+    written = {}
+    with ScriptedLlmServer(fixtures=rules + default_pipeline_rules()) as server:
+        for parallelism in (1, 4):  # one server, so the rows name one url
+            base = tmp_path / f"parallelism-{parallelism}"
+            summary, _ = run_over(records, base, url=server.url, parallelism=parallelism)
+            assert summary["errors"] == 4 and summary["conversations"] == 4
+            written[parallelism] = (base / "out" / "errors.jsonl").read_bytes()
+    rows = [json.loads(line) for line in written[1].splitlines()]
+    assert [(row["image_id"], row["stage"], row.get("error")) for row in rows] == [
+        ("0002", "generate", error),
+        ("0100", "ingest", None),
+        ("0101", "ingest", "TypeError"),
+        ("0102", "ingest", None),
+    ]
+    assert written[4] == written[1]

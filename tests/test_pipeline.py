@@ -24,7 +24,6 @@ from convogen.pipeline import (
     write_conversation,
 )
 from convogen.sharding import (
-    HeartbeatThread,
     ShardClaim,
     claim_path_for,
     claim_shard,
@@ -416,22 +415,30 @@ class TestWorkerPool:
         assert summary["conversations"] == 1 + len(load_shard(Path(cfg.shard_dir) / "shard_00001.json")["keys"])
         assert takeovers[0].is_current()
 
+    def test_a_damaged_shard_file_exits_two_and_releases_every_claim(self, tmp_path, capsys):
+        # shard 0 is in flight when the worker reads shard 1's torn file
+        cfg = scripted_config(tmp_path, n=6, shards=2, scripted_latency_base_ms=5.0)
+        damaged = Path(cfg.shard_dir) / "shard_00001.json"
+        damaged.write_bytes(damaged.read_bytes()[:20])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(asdict(cfg)), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--worker-id", "w1"]) == EXIT_CONFIG
+        assert f"damaged shard file {damaged}" in capsys.readouterr().err
+        (claim,) = Path(cfg.shard_dir).glob("*.claim.*")
+        body = json.loads(claim.read_text())
+        assert (body["shard_id"], body["worker_id"], body["released"]) == (0, "w1", True)
+
     def test_a_failing_shard_set_up_releases_every_claim(self, tmp_path, capsys, monkeypatch):
         # shard 0 is in flight when recovering shard 1 finds a damaged line
         cfg = scripted_config(tmp_path, n=6, shards=2, heartbeat_s=0.01,
                               scripted_latency_base_ms=5.0)
-        real_release, released = ShardClaim.release, []
+        real_claim, claims = pipeline.claim_shard, []
 
-        def release(self):
-            # a heartbeat that outlived the release would rewrite the claim
-            # without its released mark
-            beating = [t for t in threading.enumerate()
-                       if isinstance(t, HeartbeatThread) and t.claim is self and t.is_alive()]
-            assert not beating, f"shard {self.shard_id} released with its heartbeat running"
-            released.append(self.shard_id)
-            real_release(self)
+        def claim(*args, **kwargs):
+            claims.append(real_claim(*args, **kwargs))
+            return claims[-1]
 
-        monkeypatch.setattr(ShardClaim, "release", release)
+        monkeypatch.setattr(pipeline, "claim_shard", claim)
         out = Path(cfg.output_dir)
         out.mkdir()
         (out / "conversations_shard_00001.jsonl").write_text("not json\n")
@@ -439,8 +446,11 @@ class TestWorkerPool:
         config.write_text(json.dumps(asdict(cfg)), encoding="utf-8")
         assert main(["run", "--config", str(config), "--worker-id", "w1"]) == EXIT_CONFIG
         assert "conversations_shard_00001.jsonl, line 1" in capsys.readouterr().err
-        assert sorted(released) == [0, 1]
-        assert not [t for t in threading.enumerate() if isinstance(t, HeartbeatThread)]
+        assert sorted(c.shard_id for c in claims) == [0, 1]
+        assert all(c.released.is_set() for c in claims)
+        # a heartbeat that outlived the release would rewrite the claim
+        # without its released mark
+        assert not [c.shard_id for c in claims if c.heartbeat_thread.is_alive()]
         for shard_path in sorted(Path(cfg.shard_dir).glob("shard_*.json")):
             newest = claim_path_for(shard_path, current_generation(shard_path))
             body = json.loads(newest.read_text())

@@ -455,7 +455,7 @@ class TestSerialize:
             BoxAnnotation("apple", (290, 258, 32, 32), ("red",), None, 0.62, "demo"),
             BoxAnnotation("dog", (300, 40, 80, 90), ("brown",), None, None, "demo"),
         ]
-        _, text = build_scene_tree(boxes, image, P)
+        text = build_scene_tree(boxes, image, P)
         golden = (DATA_DIR / "golden_tree.txt").read_text(encoding="utf-8").rstrip("\n")
         assert text == golden
 
@@ -469,11 +469,11 @@ class TestProperties:
             BoxAnnotation(r.label, r.bbox, r.attributes, r.mask_rle, r.depth_mean, "s")
             for r in regions
         ]
-        _, base = build_scene_tree(boxes, image, P)
+        base = build_scene_tree(boxes, image, P)
         for _ in range(5):
             shuffled = boxes[:]
             rng.shuffle(shuffled)
-            _, text = build_scene_tree(shuffled, image, P)
+            text = build_scene_tree(shuffled, image, P)
             assert text == base
 
     def test_member_conservation_through_pipeline(self):

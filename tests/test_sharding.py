@@ -7,11 +7,13 @@ import time
 import pytest
 
 from convogen import sharding
-from convogen.errors import AlreadyClaimed
+from convogen.errors import AlreadyClaimed, ConfigError
 from convogen.ingestion import write_manifest
 from convogen.sharding import (
-    HeartbeatThread,
+    ShardClaim,
+    claim_path_for,
     claim_shard,
+    current_generation,
     load_shard,
     plan_shards,
     stable_shard,
@@ -117,6 +119,33 @@ class TestPlanShards:
         assert sum(sizes) == 1000
         assert max(sizes) / min(sizes) < 1.5
 
+    @pytest.mark.parametrize("body", ["", '{"shard_id": 0, "manifest": "m.jsonl", "off',
+                                      "[]", '{"shard_id": 0, "manifest": "m.jsonl"}'],
+                             ids=["empty", "truncated", "not-an-object", "missing-keys"])
+    def test_damaged_shard_file_is_config_error(self, tmp_path, body):
+        path = tmp_path / "shard_00000.json"
+        path.write_text(body)
+        with pytest.raises(ConfigError, match="damaged shard file .*shard_00000.json"):
+            load_shard(path)
+
+    def test_plan_publishes_each_shard_file_whole(self, tmp_path, monkeypatch):
+        # a crash before a shard file's rename leaves the old file as it was
+        (path,) = plan_shards(manifest_of(tmp_path, 4), 1, tmp_path / "shards")
+        before = path.read_bytes()
+
+        class CrashAtRename:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def replace(self, src, dst):
+                raise OSError("crashed before the rename")
+
+        monkeypatch.setattr(sharding, "os", CrashAtRename())
+        with pytest.raises(OSError, match="before the rename"):
+            plan_shards(manifest_of(tmp_path, 6), 1, tmp_path / "shards")
+        assert path.read_bytes() == before
+        assert sorted(path.parent.iterdir()) == [path]
+
     def test_offsets_point_at_records(self, tmp_path):
         manifest = manifest_of(tmp_path, 5)
         (path,) = plan_shards(manifest, 1, tmp_path / "shards")
@@ -185,12 +214,11 @@ class TestClaims:
 
     def test_heartbeat_refresh(self, tmp_path):
         (path,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
-        claim = claim_shard(path, "w1")
+        claim = claim_shard(path, "w1", heartbeat_s=0.05)
         before = json.loads(claim.path.read_text())["heartbeat"]
-        thread = HeartbeatThread(claim, interval_s=0.05)
-        thread.start()
         time.sleep(0.2)
-        thread.stop()
+        claim.release()
+        assert not claim.heartbeat_thread.is_alive()
         after = json.loads(claim.path.read_text())["heartbeat"]
         assert after > before
 
@@ -251,15 +279,43 @@ class TestClaims:
 
     def test_heartbeat_stops_once_superseded(self, tmp_path):
         (path,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
-        old = claim_shard(path, "w1")
-        make_stale(old)
-        new = claim_shard(path, "w2", staleness_s=300)
+        old = claim_shard(path, "w1", heartbeat_s=0.01)
+        # a successor that takes over however fresh the heartbeat is
+        new = claim_shard(path, "w2", staleness_s=-1.0)
         body = new.path.read_text()
-        thread = HeartbeatThread(old, interval_s=0.01)
-        thread.start()
-        try:
-            thread.join(timeout=5)
-            assert not thread.is_alive(), "heartbeat kept refreshing a lost claim"
-        finally:
-            thread.stop()
+        old.heartbeat_thread.join(timeout=5)
+        assert not old.heartbeat_thread.is_alive(), "heartbeat kept refreshing a lost claim"
         assert new.path.read_text() == body
+        new.release()
+
+    def test_a_stalled_refresh_cannot_undo_the_release(self, tmp_path, monkeypatch):
+        # a refresh passes its fence check and stalls while the claim is
+        # released; once it resumes, the claim must still read released
+        (path,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
+        claim = claim_shard(path, "w1")
+        real_is_current = ShardClaim.is_current
+        passed, resume = threading.Event(), threading.Event()
+
+        def is_current(self):
+            current = real_is_current(self)
+            if threading.current_thread().name == "refresher":
+                passed.set()
+                assert resume.wait(timeout=10)
+            return current
+
+        monkeypatch.setattr(ShardClaim, "is_current", is_current)
+        refresher = threading.Thread(target=claim.refresh, name="refresher")
+        refresher.start()
+        assert passed.wait(timeout=10)
+        releaser = threading.Thread(target=claim.release)
+        releaser.start()
+        releaser.join(timeout=1.0)  # time for a release that the refresh does not hold up
+        resume.set()
+        refresher.join(timeout=10)
+        releaser.join(timeout=10)
+        assert not refresher.is_alive() and not releaser.is_alive()
+        newest = claim_path_for(path, current_generation(path))
+        assert newest == claim.path
+        assert json.loads(newest.read_text()).get("released") is True
+        assert claim.refresh() is False
+        assert json.loads(newest.read_text()).get("released") is True
