@@ -44,17 +44,16 @@ _NUMBERED_LINE = re.compile(r"^\s*(\d+)\s*[.):]\s*(.+?)\s*$")
 class ContextSentence:
     text: str
     origin: str
-    source: str
     char_len: int
 
 
-def make_sentence(text: str, origin: str, source: str) -> ContextSentence:
+def make_sentence(text: str, origin: str) -> ContextSentence:
     cleaned = " ".join(text.split())
     if not cleaned:
         raise ValueError("context sentence must be non-empty")
     if origin not in ORIGINS:
         raise ValueError(f"unknown origin {origin!r}")
-    return ContextSentence(text=cleaned, origin=origin, source=source, char_len=len(cleaned))
+    return ContextSentence(text=cleaned, origin=origin, char_len=len(cleaned))
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def qa_to_statement(qa: QAAnnotation, llm, max_attempts: int = 3) -> ContextSent
     )
     if line is None:
         line = QA_FALLBACK_TEMPLATE.format(question=qa.question, answer=qa.answer)
-    return make_sentence(line, ORIGIN_QA, qa.source)
+    return make_sentence(line, ORIGIN_QA)
 
 
 def qas_to_statements(
@@ -136,12 +135,10 @@ def qas_to_statements(
     )
     if statements is None:
         return [qa_to_statement(qa, llm, max_attempts) for qa in qas]
-    return [make_sentence(text, ORIGIN_QA, qa.source) for text, qa in zip(statements, qas)]
+    return [make_sentence(text, ORIGIN_QA) for text in statements]
 
 
-def tree_to_description(
-    ascii_tree: str, llm, source: str = "tree", max_attempts: int = 3
-) -> list[ContextSentence]:
+def tree_to_description(ascii_tree: str, llm, max_attempts: int = 3) -> list[ContextSentence]:
     """Describe a serialized scene tree as individual factual sentences."""
     if not ascii_tree.strip():
         return []
@@ -151,7 +148,7 @@ def tree_to_description(
     )
     if sentences is None:
         raise EmptyDescription("model yielded no sentences for the scene tree")
-    return [make_sentence(s, ORIGIN_TREE, source) for s in sentences]
+    return [make_sentence(s, ORIGIN_TREE) for s in sentences]
 
 
 def boxes_to_plain_sentences(boxes: Sequence[BoxAnnotation]) -> list[str]:
@@ -181,17 +178,10 @@ def assemble_context(
     into tree-origin sentences, and every QA pair yields exactly one
     statement (fallbacks included), so no annotation is silently dropped.
     """
-    sentences: list[ContextSentence] = [
-        make_sentence(c.text, ORIGIN_CAPTION, c.source) for c in bundle.captions
-    ]
-    box_sources = ",".join(sorted({b.source for b in bundle.boxes})) or "tree"
+    sentences = [make_sentence(c.text, ORIGIN_CAPTION) for c in bundle.captions]
     if tree_text.strip():
-        sentences.extend(
-            tree_to_description(tree_text, llm, source=box_sources, max_attempts=max_attempts)
-        )
+        sentences.extend(tree_to_description(tree_text, llm, max_attempts=max_attempts))
     elif plain_box_sentences:
-        sentences.extend(
-            make_sentence(s, ORIGIN_TREE, box_sources) for s in plain_box_sentences
-        )
+        sentences.extend(make_sentence(s, ORIGIN_TREE) for s in plain_box_sentences)
     sentences.extend(qas_to_statements(bundle.qas, llm, max_attempts))
     return ContextSet.build(bundle.image, sentences)

@@ -3,10 +3,11 @@
 Workers are share-nothing; coordination happens through claim files and
 append-only per-shard outputs. One pool per worker runs images of every
 shard it claims, at most 2 x parallelism in flight, and claims the next
-shard while the current one drains. Each shard's results are committed in
-its manifest order, so a full scripted run with a fixed seed is
-byte-identical across machines, and a crashed shard resumes without
-duplicate conversation ids.
+shard while the current one drains. The worker's main thread, the
+committer, commits each shard's results in manifest order, so a full
+scripted run with a fixed seed is byte-identical across machines and a
+crashed shard resumes without duplicate conversation ids; it also refreshes
+the claims the worker holds, at each commit and while it waits for one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import os
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack, closing
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +28,7 @@ from .context import assemble_context, boxes_to_plain_sentences
 from .errors import AlreadyClaimed, ConfigError, LlmUnavailable
 from .gateway import LlmGateway, probe_endpoint
 from .generation import Conversation, generate_conversation, generate_conversation_direct
-from .ingestion import load_bundle
+from .ingestion import load_bundle, open_input
 from .prompts import PromptDistribution, load_prompt_set
 from .scene_tree import build_scene_tree
 from .scripted_server import ScriptedLlmServer, default_pipeline_rules, load_fixture_file
@@ -242,7 +243,7 @@ class _OpenShard:
         conv_path = out_dir / f"conversations_shard_{self.shard_id:05d}.jsonl"
         tree_path = out_dir / f"trees_shard_{self.shard_id:05d}.jsonl"
         done = _recover(conv_path, tree_path)
-        self.manifest = self.held.enter_context(open(shard["manifest"], encoding="utf-8"))
+        self.manifest = self.held.enter_context(open_input(shard["manifest"], "manifest"))
         self.conv_out = self.held.enter_context(open(conv_path, "a", encoding="utf-8"))
         self.tree_out = self.held.enter_context(open(tree_path, "a", encoding="utf-8"))
         self.base_dir = Path(shard["manifest"]).resolve().parent
@@ -302,7 +303,8 @@ def run_pipeline(
     """Claim and process every available shard; returns summary metrics.
 
     One pool runs the images of every claimed shard. A failing image costs
-    only itself (see ``_process_image``); any exit releases every claim.
+    only itself (see ``_process_image``); any exit releases every claim, and
+    so does a refresh that raises.
     """
     dist = load_prompt_set(cfg.prompts_dir, cfg.prompts_set)
     shard_dir = cfg.resolved_shard_dir()
@@ -336,6 +338,7 @@ def run_pipeline(
         # each image submitted and not yet committed, in submission order
         window: deque[tuple[_OpenShard, Future]] = deque()
         limit = 2 * threads
+        open_shards: list[_OpenShard] = []  # claimed and not yet closed
 
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -353,16 +356,33 @@ def run_pipeline(
             "stage_s": {stage: 0.0 for stage in STAGES},
         }
 
+        def keep_claims_alive() -> float:
+            """Refresh each held claim that is due; returns the seconds to the next."""
+            now, due = time.time(), cfg.heartbeat_s
+            for shard in open_shards:
+                age = now - shard.claim.heartbeat
+                if age >= cfg.heartbeat_s:
+                    shard.claim.refresh()
+                else:
+                    due = min(due, cfg.heartbeat_s - age)
+            return due
+
         def commit_until(in_flight: int) -> None:
-            # commit strictly in submission order for byte-stable outputs
+            """Commit down to ``in_flight`` images in the window, then close what is done."""
             while len(window) > in_flight:
-                shard, future = window.popleft()
+                # commit strictly in submission order for byte-stable outputs
+                shard, future = window[0]
+                while not wait([future], timeout=keep_claims_alive()).done:
+                    pass
+                window.popleft()
                 # a shard's images are contiguous in the window
                 if not shard.commit(future.result()):  # lost: drop the rest of them
                     while window and window[0][0] is shard:
                         window.popleft()[1].cancel()
-                if not shard.todo and not (window and window[0][0] is shard):
-                    shard.held.close()
+            busy = {shard for shard, _ in window}
+            for shard in [s for s in open_shards if not (s.todo or s in busy)]:
+                open_shards.remove(shard)
+                shard.held.close()
 
         for shard_path in shard_paths:
             shard_file = load_shard(shard_path)
@@ -370,23 +390,23 @@ def run_pipeline(
             if shard_filter is not None and shard_id not in shard_filter:
                 continue
             try:
-                claim = claim_shard(shard_path, worker_id, cfg.claim_staleness_s, shard_id,
-                                    cfg.heartbeat_s)
+                claim = claim_shard(shard_path, worker_id, cfg.claim_staleness_s, shard_id)
             except AlreadyClaimed:
                 summary["skipped_shards"] += 1
                 continue
             summary["shards"].append(shard_id)
             shard = _OpenShard(cfg, shard_file, claim, summary, stack)
-            while shard.todo:
+            open_shards.append(shard)
+            while True:
+                commit_until(limit - 1)  # so the next shard is claimed while this one drains
+                if not shard.todo:
+                    break
                 offset, *image = shard.todo.popleft()
                 shard.manifest.seek(offset)  # each record is read when it is submitted
                 record = json.loads(shard.manifest.readline())
                 window.append((shard, pool.submit(
                     _process_image, record, *image, cfg, dist, gateway, shard.base_dir
                 )))
-                commit_until(limit - 1)  # so the next shard is claimed while this one drains
-            if not (window and window[-1][0] is shard):
-                shard.held.close()
         commit_until(0)
         wall = time.monotonic() - started
         summary["wall_s"] = round(wall, 3)

@@ -9,8 +9,8 @@ released or stale generation exactly one publishes its successor. Workers
 never delete claim files, so no generation is reused; the holder of a
 superseded generation sees the newer file and stops refreshing, releasing
 or committing output under its claim (a fencing token). A live claim has a
-heartbeat within the staleness window and no ``released`` mark. Each claim
-runs its own heartbeat from its claim to its release.
+heartbeat within the staleness window and no ``released`` mark. A claim
+starts no thread: the worker's committer refreshes the claims it holds.
 """
 
 from __future__ import annotations
@@ -102,14 +102,12 @@ def load_shard(path: str | Path) -> dict:
 
 @dataclass
 class ShardClaim:
-    """One generation of ownership of a shard, with its heartbeat.
+    """One generation of ownership of a shard, used by one thread.
 
     The generation is a fencing token: it is never reused, and a later
     generation always supersedes an earlier one, so a deposed holder can
     detect that it lost the shard and leaves its successor's claim alone.
-    ``heartbeat_thread`` refreshes the claim every ``heartbeat_s`` until it
-    is released or superseded. Refresh and release take the claim's lock,
-    and a released claim never refreshes, so no refresh undoes a release.
+    A released claim never refreshes, so no refresh undoes a release.
     """
 
     shard_id: int
@@ -117,19 +115,7 @@ class ShardClaim:
     heartbeat: float
     shard_path: Path
     generation: int
-    heartbeat_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        self.released = threading.Event()
-        self._lock = threading.Lock()
-        self.heartbeat_thread = threading.Thread(
-            target=self._beat, name=f"heartbeat {self.path}", daemon=True
-        )
-
-    def _beat(self) -> None:
-        while not self.released.wait(self.heartbeat_s):
-            if not self.refresh():
-                return
+    released: bool = False
 
     @property
     def path(self) -> Path:
@@ -160,22 +146,18 @@ class ShardClaim:
         Returns False, and writes nothing, once the claim is released or
         superseded.
         """
-        with self._lock:
-            if self.released.is_set() or not self.is_current():
-                return False
-            self.heartbeat = time.time()
-            os.replace(_write_temp(self.path, self._body()), self.path)
-            return True
+        if self.released or not self.is_current():
+            return False
+        self.heartbeat = time.time()
+        os.replace(_write_temp(self.path, self._body()), self.path)
+        return True
 
     def release(self) -> None:
-        """Mark the claim released so the shard can be claimed again, and
-        stop its heartbeat; a superseded claim is left as it is."""
-        self.released.set()  # a refresh not yet in the lock writes nothing
-        with self._lock:
-            if self.is_current():
-                os.replace(_write_temp(self.path, self._body(released=True)), self.path)
-        if self.heartbeat_thread.is_alive():
-            self.heartbeat_thread.join()
+        """Mark the claim released so the shard can be claimed again; a
+        superseded claim is left as it is."""
+        self.released = True
+        if self.is_current():
+            os.replace(_write_temp(self.path, self._body(released=True)), self.path)
 
 
 def claim_path_for(shard_path: str | Path, generation: int) -> Path:
@@ -183,15 +165,16 @@ def claim_path_for(shard_path: str | Path, generation: int) -> Path:
 
 
 def current_generation(shard_path: str | Path) -> int:
-    """Highest claim generation published for the shard; 0 if none."""
-    shard_path = Path(shard_path)
-    prefix = shard_path.name + ".claim."
-    suffixes = [
-        name[len(prefix):]
-        for name in os.listdir(shard_path.parent)
-        if name.startswith(prefix)
-    ]
-    return max((int(s) for s in suffixes if s.isascii() and s.isdigit()), default=0)
+    """Highest claim generation published for the shard; 0 if none.
+
+    Generations are dense: g + 1 is published only by a claimer that saw g,
+    and claim files are never deleted, so a walk up from 0 finds it without
+    listing the directory.
+    """
+    generation = 0
+    while claim_path_for(shard_path, generation + 1).exists():
+        generation += 1
+    return generation
 
 
 def _write_temp(path: Path, body: str) -> Path:
@@ -206,10 +189,8 @@ def claim_shard(
     worker_id: str,
     staleness_s: float = 300.0,
     shard_id: Optional[int] = None,
-    heartbeat_s: float = 30.0,
 ) -> ShardClaim:
-    """Claim the shard by publishing its next generation, and start its
-    heartbeat.
+    """Claim the shard by publishing its next generation.
 
     Raises AlreadyClaimed when the newest generation is unreleased and its
     heartbeat is within ``staleness_s``, or when another worker publishes
@@ -236,7 +217,6 @@ def claim_shard(
         heartbeat=time.time(),
         shard_path=shard_path,
         generation=current + 1,
-        heartbeat_s=heartbeat_s,
     )
     tmp = _write_temp(claim.path, claim._body())
     try:
@@ -245,5 +225,4 @@ def claim_shard(
         raise AlreadyClaimed(f"{claim.path} published by another worker") from None
     finally:
         os.unlink(tmp)
-    claim.heartbeat_thread.start()
     return claim

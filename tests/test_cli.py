@@ -336,6 +336,17 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
         assert not list((tmp_path / "shards").glob("*.claim.*"))
 
+    def test_moved_shard_manifest_exits_two_and_releases_the_claim(self, tmp_path, capsys):
+        # the shard names the manifest that was planned, not manifest_path
+        planned = write_fixture_manifest(tmp_path / "m.jsonl", 2)
+        plan_shards(planned, 1, tmp_path / "shards")
+        moved = planned.rename(tmp_path / "moved.jsonl")
+        config = write_config(tmp_path, moved)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert f"cannot read manifest {planned}" in capsys.readouterr().err
+        claim = json.loads((tmp_path / "shards" / "shard_00000.json.claim.1").read_text())
+        assert claim["released"] is True
+
     def test_unreachable_live_endpoint_exits_three(self, tmp_path):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
         from convogen.sharding import plan_shards

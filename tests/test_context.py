@@ -29,13 +29,13 @@ def qa(question="What color is the car?", answer="Red"):
 
 class TestSentences:
     def test_make_sentence_strips_newlines(self):
-        s = make_sentence("a\nb\r\nc", ORIGIN_CAPTION, "s")
+        s = make_sentence("a\nb\r\nc", ORIGIN_CAPTION)
         assert s.text == "a b c"
         assert s.char_len == len("a b c")
 
     def test_context_set_char_accounting(self):
         image = make_image()
-        sentences = [make_sentence(t, ORIGIN_CAPTION, "s") for t in ("one", "two two")]
+        sentences = [make_sentence(t, ORIGIN_CAPTION) for t in ("one", "two two")]
         ctx = ContextSet.build(image, sentences)
         assert ctx.total_chars == sum(len(s.text) for s in ctx.sentences)
 
@@ -43,14 +43,14 @@ class TestSentences:
     def test_total_chars_equals_recount(self, texts):
         image = make_image()
         ctx = ContextSet.build(
-            image, [make_sentence(t, ORIGIN_CAPTION, "s") for t in texts]
+            image, [make_sentence(t, ORIGIN_CAPTION) for t in texts]
         )
         assert ctx.total_chars == sum(s.char_len for s in ctx.sentences)
 
     def test_without_is_subset(self):
         image = make_image()
         ctx = ContextSet.build(
-            image, [make_sentence(f"sentence {i}", ORIGIN_QA, "s") for i in range(5)]
+            image, [make_sentence(f"sentence {i}", ORIGIN_QA) for i in range(5)]
         )
         reduced = ctx.without({1, 3})
         assert [s.text for s in reduced.sentences] == ["sentence 0", "sentence 2", "sentence 4"]
@@ -62,7 +62,6 @@ class TestQaConversion:
         statement = qa_to_statement(qa(), llm)
         assert statement.text == "There is a red car in the image."
         assert statement.origin == ORIGIN_QA
-        assert statement.source == "vqa"
 
     def test_scripted_fixture_verbatim(self):
         llm = FakeLlm(rules=[("Rewrite the question", "The sky is blue here.")])

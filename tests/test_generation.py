@@ -33,7 +33,7 @@ def ctx_of_chars(lengths, image=None):
     """One sentence per requested char length (exact)."""
     image = image or make_image()
     sentences = [
-        make_sentence(f"fact {i} ".ljust(length, "x")[:length], ORIGIN_CAPTION, "s")
+        make_sentence(f"fact {i} ".ljust(length, "x")[:length], ORIGIN_CAPTION)
         for i, length in enumerate(lengths)
     ]
     ctx = ContextSet.build(image, sentences)
@@ -121,9 +121,9 @@ class TestReduceContext:
         ctx = ContextSet.build(
             image,
             [
-                make_sentence("The tower is tall.", ORIGIN_CAPTION, "s"),
-                make_sentence("A crimson bicycle leans on the fence.", ORIGIN_CAPTION, "s"),
-                make_sentence("Clouds gather in the west.", ORIGIN_CAPTION, "s"),
+                make_sentence("The tower is tall.", ORIGIN_CAPTION),
+                make_sentence("A crimson bicycle leans on the fence.", ORIGIN_CAPTION),
+                make_sentence("Clouds gather in the west.", ORIGIN_CAPTION),
             ],
         )
         turn = turn_of("What leans on the fence?", "A crimson bicycle leans on the fence.")
@@ -140,7 +140,7 @@ class TestReduceContext:
 
     def test_llm_index_list_matches_set_difference_oracle(self):
         image = make_image()
-        sentences = [make_sentence(f"unique fact number {i}.", ORIGIN_CAPTION, "s") for i in range(6)]
+        sentences = [make_sentence(f"unique fact number {i}.", ORIGIN_CAPTION) for i in range(6)]
         ctx = ContextSet.build(image, sentences)
         llm = FakeLlm(rules=[("numbers of the covered facts", "2, 5")])
         reduced = reduce_context(ctx, turn_of(), llm)
@@ -156,7 +156,7 @@ class TestReduceContext:
     def test_invalid_reply_falls_back_to_lexical(self):
         image = make_image()
         ctx = ContextSet.build(
-            image, [make_sentence("a crimson bicycle here.", ORIGIN_CAPTION, "s")]
+            image, [make_sentence("a crimson bicycle here.", ORIGIN_CAPTION)]
         )
         llm = FakeLlm(rules=[("numbers of the covered facts", "0 99")])  # out of range
         turn = turn_of("what?", "a crimson bicycle here.")

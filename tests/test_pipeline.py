@@ -1,6 +1,7 @@
 import json
 import tempfile
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -13,6 +14,7 @@ from convogen import pipeline
 from convogen.cli import EXIT_CONFIG, main
 from convogen.config import FeatureFlags, PipelineConfig
 from convogen.context import ORIGIN_CAPTION, ContextSet, make_sentence
+from convogen.errors import AlreadyClaimed
 from convogen.gateway import GatewayConfig, LlmGateway
 from convogen.generation import Conversation, Turn
 from convogen.metadata import record_line
@@ -341,6 +343,16 @@ def shard_bytes(out_dir: Path, shard_id: int) -> list[bytes]:
     ]
 
 
+def stray_threads(before: set) -> list[str]:
+    """Threads started since ``before`` that are neither a pool's nor the
+    scripted server's."""
+    return [
+        t.name for t in threading.enumerate()
+        if t not in before and not t.name.startswith("ThreadPoolExecutor-")
+        and not t.name.endswith(("(serve_forever)", "(process_request_thread)"))
+    ]
+
+
 class TestWorkerPool:
     def test_pool_spans_shard_boundaries_within_a_bounded_window(self, tmp_path, monkeypatch):
         cfg = scripted_config(tmp_path / "pool", n=16, shards=4, parallelism=2,
@@ -415,6 +427,40 @@ class TestWorkerPool:
         assert summary["conversations"] == 1 + len(load_shard(Path(cfg.shard_dir) / "shard_00001.json")["keys"])
         assert takeovers[0].is_current()
 
+    def test_a_run_slower_than_the_staleness_window_keeps_its_claim(self, tmp_path, monkeypatch):
+        # the first image runs for three staleness windows while another
+        # worker tries the shard: only the committer's refresh keeps it live
+        cfg = scripted_config(tmp_path, n=2, parallelism=1, heartbeat_s=0.05,
+                              claim_staleness_s=0.25)
+        shard_path = Path(cfg.shard_dir) / "shard_00000.json"
+        running, tried, outcome = threading.Event(), threading.Event(), []
+
+        def contend():
+            assert running.wait(timeout=10)
+            time.sleep(3 * cfg.claim_staleness_s)
+            try:
+                outcome.append(claim_shard(shard_path, "usurper", cfg.claim_staleness_s))
+            except AlreadyClaimed as exc:
+                outcome.append(exc)
+            tried.set()
+
+        real_tree = pipeline.build_scene_tree
+
+        def slow_tree(*args, **kwargs):
+            running.set()
+            assert tried.wait(timeout=10)
+            return real_tree(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_scene_tree", slow_tree)
+        contender = threading.Thread(target=contend, name="contender")
+        contender.start()
+        summary = run_pipeline(cfg, worker_id="w1")
+        contender.join(timeout=10)
+        assert not contender.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], AlreadyClaimed), outcome
+        assert summary["conversations"] == 2 and summary["lost_shards"] == []
+        assert current_generation(shard_path) == 1
+
     def test_a_damaged_shard_file_exits_two_and_releases_every_claim(self, tmp_path, capsys):
         # shard 0 is in flight when the worker reads shard 1's torn file
         cfg = scripted_config(tmp_path, n=6, shards=2, scripted_latency_base_ms=5.0)
@@ -432,10 +478,12 @@ class TestWorkerPool:
         # shard 0 is in flight when recovering shard 1 finds a damaged line
         cfg = scripted_config(tmp_path, n=6, shards=2, heartbeat_s=0.01,
                               scripted_latency_base_ms=5.0)
-        real_claim, claims = pipeline.claim_shard, []
+        real_claim, claims, strays = pipeline.claim_shard, [], []
+        before = set(threading.enumerate())
 
         def claim(*args, **kwargs):
             claims.append(real_claim(*args, **kwargs))
+            strays.extend(stray_threads(before))
             return claims[-1]
 
         monkeypatch.setattr(pipeline, "claim_shard", claim)
@@ -447,10 +495,8 @@ class TestWorkerPool:
         assert main(["run", "--config", str(config), "--worker-id", "w1"]) == EXIT_CONFIG
         assert "conversations_shard_00001.jsonl, line 1" in capsys.readouterr().err
         assert sorted(c.shard_id for c in claims) == [0, 1]
-        assert all(c.released.is_set() for c in claims)
-        # a heartbeat that outlived the release would rewrite the claim
-        # without its released mark
-        assert not [c.shard_id for c in claims if c.heartbeat_thread.is_alive()]
+        # no claim starts a thread of its own, which could outlive the run
+        assert strays == [] and stray_threads(before) == []
         for shard_path in sorted(Path(cfg.shard_dir).glob("shard_*.json")):
             newest = claim_path_for(shard_path, current_generation(shard_path))
             body = json.loads(newest.read_text())

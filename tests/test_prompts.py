@@ -36,7 +36,7 @@ def distribution(*specs):
 def ctx_with(origins, image=None):
     image = image or make_image()
     sentences = [
-        make_sentence(f"{origin} sentence {i}", origin, "s")
+        make_sentence(f"{origin} sentence {i}", origin)
         for i, origin in enumerate(origins, 1)
     ]
     return ContextSet.build(image, sentences)

@@ -3,6 +3,7 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,6 @@ from convogen import sharding
 from convogen.errors import AlreadyClaimed, ConfigError
 from convogen.ingestion import write_manifest
 from convogen.sharding import (
-    ShardClaim,
     claim_path_for,
     claim_shard,
     current_generation,
@@ -214,13 +214,29 @@ class TestClaims:
 
     def test_heartbeat_refresh(self, tmp_path):
         (path,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
-        claim = claim_shard(path, "w1", heartbeat_s=0.05)
+        claim = claim_shard(path, "w1")
         before = json.loads(claim.path.read_text())["heartbeat"]
-        time.sleep(0.2)
+        time.sleep(0.01)
+        assert claim.refresh() is True
+        after = json.loads(claim.path.read_text())
+        assert after["heartbeat"] == claim.heartbeat > before
+        assert "released" not in after
         claim.release()
-        assert not claim.heartbeat_thread.is_alive()
-        after = json.loads(claim.path.read_text())["heartbeat"]
-        assert after > before
+        assert json.loads(claim.path.read_text())["released"] is True
+
+    def test_current_generation_counts_only_published_claims_of_its_shard(self, tmp_path):
+        first, second = plan_shards(manifest_of(tmp_path, 4), 2, tmp_path / "shards")
+        assert current_generation(first) == 0
+        claim_shard(first, "w1").release()
+        claim_shard(first, "w2").release()
+        for worker in ("w3", "w4", "w5"):
+            claim_shard(second, worker).release()
+        # temp files of claimers that died before they could publish
+        for g in (3, 4):
+            Path(f"{claim_path_for(first, g)}.{os.getpid()}-1.tmp").write_text("{}")
+        assert (current_generation(first), current_generation(second)) == (2, 3)
+        assert claim_shard(first, "w6").generation == 3
+        assert current_generation(first) == 3
 
     def test_claim_is_whole_before_anyone_can_see_it(self, tmp_path, monkeypatch):
         # Pause the first claimer right after the step that creates its claim
@@ -277,43 +293,11 @@ class TestClaims:
         with pytest.raises(AlreadyClaimed):
             claim_shard(path, "w3")
 
-    def test_heartbeat_stops_once_superseded(self, tmp_path):
-        (path,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
-        old = claim_shard(path, "w1", heartbeat_s=0.01)
-        # a successor that takes over however fresh the heartbeat is
-        new = claim_shard(path, "w2", staleness_s=-1.0)
-        body = new.path.read_text()
-        old.heartbeat_thread.join(timeout=5)
-        assert not old.heartbeat_thread.is_alive(), "heartbeat kept refreshing a lost claim"
-        assert new.path.read_text() == body
-        new.release()
-
-    def test_a_stalled_refresh_cannot_undo_the_release(self, tmp_path, monkeypatch):
-        # a refresh passes its fence check and stalls while the claim is
-        # released; once it resumes, the claim must still read released
+    def test_a_stalled_refresh_cannot_undo_the_release(self, tmp_path):
+        # a refresh that comes after the release writes nothing
         (path,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
         claim = claim_shard(path, "w1")
-        real_is_current = ShardClaim.is_current
-        passed, resume = threading.Event(), threading.Event()
-
-        def is_current(self):
-            current = real_is_current(self)
-            if threading.current_thread().name == "refresher":
-                passed.set()
-                assert resume.wait(timeout=10)
-            return current
-
-        monkeypatch.setattr(ShardClaim, "is_current", is_current)
-        refresher = threading.Thread(target=claim.refresh, name="refresher")
-        refresher.start()
-        assert passed.wait(timeout=10)
-        releaser = threading.Thread(target=claim.release)
-        releaser.start()
-        releaser.join(timeout=1.0)  # time for a release that the refresh does not hold up
-        resume.set()
-        refresher.join(timeout=10)
-        releaser.join(timeout=10)
-        assert not refresher.is_alive() and not releaser.is_alive()
+        claim.release()
         newest = claim_path_for(path, current_generation(path))
         assert newest == claim.path
         assert json.loads(newest.read_text()).get("released") is True
