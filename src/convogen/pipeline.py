@@ -257,13 +257,17 @@ class _OpenShard:
                 self.todo.append((offset, key, seed, conv_id))
 
     def commit(self, result: _Result) -> bool:
-        """Count one image, append its ``errors.jsonl`` rows and commit its
-        conversation, if it has one: while the claim is the shard's newest
-        generation, append the tree line, then the conversation line, the
-        commit record ``_recover`` reads. Once it is not, the shard is lost
-        and this returns False."""
+        """While the claim is the shard's newest generation, count one image,
+        append its ``errors.jsonl`` rows and commit its conversation, if it
+        has one: the tree line, then the conversation line, the commit
+        record ``_recover`` reads. Once it is not, the shard is lost, this
+        writes and counts nothing and returns False."""
         conv, tree_text, timings, rows = result
         summary, stage_s = self.summary, self.summary["stage_s"]
+        if not self.claim.is_current():
+            self.todo.clear()
+            summary["lost_shards"].append(self.shard_id)
+            return False
         summary["images"] += 1
         for stage, seconds in timings.items():
             stage_s[stage] += seconds
@@ -279,10 +283,6 @@ class _OpenShard:
                     fh.write(json.dumps(row, ensure_ascii=False) + "\n")
         if conv is None:
             return True
-        if not self.claim.is_current():
-            self.todo.clear()
-            summary["lost_shards"].append(self.shard_id)
-            return False
         t0 = time.monotonic()
         if tree_text is not None:
             line = json.dumps({"id": conv.provenance["id"], "tree": tree_text}, ensure_ascii=False)

@@ -5,16 +5,16 @@ alternate background/foreground, starting with background. Runs must sum
 to ``w * h``, so grid dimensions are always checkable.
 
 Areas, intersections and unions are computed on the runs themselves, as
-sorted foreground intervals in flat (row-major) index space; no
-``height x width`` grid is built for them.
+sorted foreground intervals in flat (row-major) index space held in
+tuples of ints; no ``height x width`` grid is built for them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from itertools import accumulate, chain
+from typing import Iterable, NamedTuple
 
 
 def _parse(rle: str) -> tuple[int, int, list[int]]:
@@ -38,46 +38,39 @@ def _parse(rle: str) -> tuple[int, int, list[int]]:
 
 class Intervals(NamedTuple):
     """Foreground of one mask as sorted, disjoint, non-touching half-open
-    intervals ``[starts[k], ends[k])`` of flat pixel indices.
-
-    ``starts`` carries one extra trailing entry, the grid size, as a
-    sentinel; ``covered[k]`` is the foreground pixel count of intervals
-    ``0..k-1``, so ``covered[-1]`` is the mask's area.
-    """
+    intervals ``[starts[k], ends[k])`` of flat pixel indices, and ``area``,
+    the mask's foreground pixel count."""
 
     width: int
     height: int
-    starts: np.ndarray
-    ends: np.ndarray
-    covered: np.ndarray
-
-    @property
-    def area(self) -> int:
-        return int(self.covered[-1])
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+    area: int
 
 
 @lru_cache(maxsize=1024)
 def intervals(rle: str) -> Intervals:
     """Parse a mask once into its foreground intervals.
 
-    Results are cached; the arrays are read-only. Zero-length runs, a
-    leading foreground run and a trailing background run of 0 are all
-    accepted, and two masks with the same pixels give equal intervals.
+    Results are cached; they are tuples, so they cannot be mutated.
+    Zero-length runs, a leading foreground run and a trailing background
+    run of 0 are all accepted, and two masks with the same pixels give
+    equal intervals.
     """
     width, height, runs = _parse(rle)
-    ends = np.cumsum(np.asarray(runs, dtype=np.int64))[1::2]
-    starts = ends - np.asarray(runs[1::2], dtype=np.int64)
-    keep = starts < ends
-    starts, ends = starts[keep], ends[keep]
-    if len(starts) > 1:  # join foreground runs split by a zero-length background run
-        gap = starts[1:] != ends[:-1]
-        starts = starts[np.concatenate(([True], gap))]
-        ends = ends[np.concatenate((gap, [True]))]
-    covered = np.concatenate(([0], np.cumsum(ends - starts)))
-    out = Intervals(width, height, np.append(starts, width * height), ends, covered)
-    for arr in out[2:]:
-        arr.flags.writeable = False
-    return out
+    edges = list(accumulate(runs, initial=0))
+    starts: list[int] = []
+    ends: list[int] = []
+    for start, end in zip(edges[1::2], edges[2::2]):  # the foreground runs
+        if start == end:
+            continue
+        if ends and ends[-1] == start:  # only a zero-length background run between
+            ends[-1] = end
+        else:
+            starts.append(start)
+            ends.append(end)
+    area = sum(end - start for start, end in zip(starts, ends))
+    return Intervals(width, height, tuple(starts), tuple(ends), area)
 
 
 def _same_grid(a: Intervals, b: Intervals) -> None:
@@ -92,75 +85,78 @@ def foreground_area(rle: str) -> int:
     return intervals(rle).area
 
 
-def _covered_before(iv: Intervals, x: np.ndarray) -> np.ndarray:
-    """Foreground pixels of ``iv`` at flat indices below each of ``x``."""
-    k = np.searchsorted(iv.ends, x, side="right")  # intervals wholly below x
-    return iv.covered[k] + np.maximum(x - iv.starts[k], 0)
-
-
 def intersection_area(a: str, b: str) -> int:
     """Pixels in the foreground of both masks; ``ValueError`` across grids."""
     ia, ib = intervals(a), intervals(b)
     _same_grid(ia, ib)
-    if not len(ia.ends) or not len(ib.ends):
+    if not ia.ends or not ib.ends:
         return 0
-    if ia.ends[-1] <= ib.starts[0] or ib.ends[-1] <= ia.starts[0]:
+    lo = max(ia.starts[0], ib.starts[0])
+    hi = min(ia.ends[-1], ib.ends[-1])
+    if lo >= hi:
         return 0  # the flat extents are disjoint
-    below_end = _covered_before(ib, ia.ends)
-    below_start = _covered_before(ib, ia.starts[:-1])
-    return int((below_end - below_start).sum())
+    starts_a, ends_a, starts_b, ends_b = ia.starts, ia.ends, ib.starts, ib.ends
+    # only intervals that end past lo and start before hi can overlap
+    i, j = bisect_right(ends_a, lo), bisect_right(ends_b, lo)
+    stop_i, stop_j = bisect_left(starts_a, hi), bisect_left(starts_b, hi)
+    total = 0
+    # max and min written inline: this loop is the hot path of mask overlap
+    while i < stop_i and j < stop_j:
+        end_a, end_b = ends_a[i], ends_b[j]
+        if end_a <= end_b:
+            start = starts_b[j]
+            if start < end_a:
+                total += end_a - (start if start > starts_a[i] else starts_a[i])
+            i += 1
+        else:
+            start = starts_a[i]
+            if start < end_b:
+                total += end_b - (start if start > starts_b[j] else starts_b[j])
+            j += 1
+    return total
 
 
 def union(rles: list[str]) -> str:
-    """Canonical encoding (as ``encode`` writes it) of the masks' union.
+    """Canonical encoding of the masks' union: no zero-length run but a
+    leading background run of 0, and no trailing background run of 0.
 
     Raises ``ValueError`` when the masks come from different grids.
     """
     parsed = [intervals(r) for r in rles]
     for iv in parsed[1:]:
         _same_grid(parsed[0], iv)
-    width, height = parsed[0].width, parsed[0].height
-    starts = np.concatenate([iv.starts[:-1] for iv in parsed])
-    ends = np.concatenate([iv.ends for iv in parsed])
-    order = np.argsort(starts)
-    starts, reach = starts[order], np.maximum.accumulate(ends[order])
-    # an interval opens where a start lies past every end before it
-    fresh = np.ones(len(starts), dtype=bool)
-    fresh[1:] = starts[1:] > reach[:-1]
-    return _emit(width, height, starts[fresh], reach[np.roll(fresh, -1)])
+    starts: list[int] = []
+    ends: list[int] = []
+    for start, end in sorted(chain.from_iterable(zip(iv.starts, iv.ends) for iv in parsed)):
+        if ends and start <= ends[-1]:  # overlaps or touches the last one: merge
+            ends[-1] = max(ends[-1], end)
+        else:
+            starts.append(start)
+            ends.append(end)
+    return _emit(parsed[0].width, parsed[0].height, starts, ends)
 
 
-def _emit(width: int, height: int, starts: np.ndarray, ends: np.ndarray) -> str:
+def _emit(width: int, height: int, starts: Iterable[int], ends: Iterable[int]) -> str:
     """Encode sorted, disjoint, non-touching foreground intervals."""
-    runs = np.empty(2 * len(starts), dtype=np.int64)
-    runs[0::2] = starts - np.concatenate(([0], ends[:-1]))
-    runs[1::2] = ends - starts
-    tail = width * height - (int(ends[-1]) if len(ends) else 0)
-    body = runs.tolist() + ([tail] if tail else [])
-    return f"{width}x{height}:" + " ".join(str(r) for r in body)
-
-
-def encode(mask: np.ndarray) -> str:
-    """Encode a 2-D (height, width) binary array."""
-    if mask.ndim != 2:
-        raise ValueError(f"expected 2-D mask, got shape {mask.shape}")
-    height, width = mask.shape
-    flat = np.asarray(mask, dtype=bool).ravel()
-    changes = np.flatnonzero(np.diff(flat.astype(np.int8)))
-    edges = np.concatenate(([0], changes + 1, [flat.size]))
-    runs = np.diff(edges).tolist()
-    if flat[0]:
-        # runs always start with a background count
-        runs = [0] + runs
-    return f"{width}x{height}:" + " ".join(str(r) for r in runs)
+    runs: list[int] = []
+    pos = 0
+    for start, end in zip(starts, ends):
+        runs += (start - pos, end - start)
+        pos = end
+    if width * height > pos:
+        runs.append(width * height - pos)
+    return f"{width}x{height}:" + " ".join(map(str, runs))
 
 
 @lru_cache(maxsize=1024)
-def decode(rle: str) -> np.ndarray:
-    """Decode to a read-only (height, width) bool array.
+def decode(rle: str):
+    """Decode to a read-only (height, width) numpy bool array.
 
-    Results are cached; callers must not mutate the returned array.
+    Results are cached; callers must not mutate the returned array. No
+    run calls this, so numpy is imported only here.
     """
+    import numpy as np
+
     width, height, runs = _parse(rle)
     flat = np.zeros(width * height, dtype=bool)
     pos = 0
@@ -183,9 +179,8 @@ def from_bbox(bbox: tuple[float, float, float, float], width: int, height: int) 
     x1 = min(int(round(x + w)), width)
     y1 = min(int(round(y + h)), height)
     if x1 <= x0 or y1 <= y0:
-        return _emit(width, height, np.empty(0, np.int64), np.empty(0, np.int64))
-    starts = np.arange(y0, y1, dtype=np.int64) * width + x0
-    ends = starts + (x1 - x0)
+        return _emit(width, height, (), ())
     if x1 - x0 == width:  # full rows touch: one interval
-        starts, ends = starts[:1], ends[-1:]
-    return _emit(width, height, starts, ends)
+        return _emit(width, height, (y0 * width,), (y1 * width,))
+    return _emit(width, height, range(y0 * width + x0, y1 * width, width),
+                 range(y0 * width + x1, y1 * width + x1, width))

@@ -15,12 +15,12 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 @st.composite
-def masks_on(draw, width: int, height: int) -> str:
+def masks_on(draw, width: int, height: int, max_cuts: int = 14) -> str:
     """Any valid RLE mask on the grid, canonical or not: repeated cuts make
     zero-length runs, a cut at 0 a leading foreground run, a cut at the end
     a trailing 0 run."""
     size = width * height
-    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=size), max_size=14)))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=size), max_size=max_cuts)))
     edges = [0, *cuts, size]
     return f"{width}x{height}:" + " ".join(str(b - a) for a, b in zip(edges, edges[1:]))
 

@@ -1,0 +1,18 @@
+"""Grid-based test oracles for the interval arithmetic in ``convogen.rle``."""
+
+import numpy as np
+
+
+def encode(mask: np.ndarray) -> str:
+    """Encode a 2-D (height, width) binary array, as ``rle.union`` writes it."""
+    if mask.ndim != 2:
+        raise ValueError(f"expected 2-D mask, got shape {mask.shape}")
+    height, width = mask.shape
+    flat = np.asarray(mask, dtype=bool).ravel()
+    changes = np.flatnonzero(np.diff(flat.astype(np.int8)))
+    edges = np.concatenate(([0], changes + 1, [flat.size]))
+    runs = np.diff(edges).tolist()
+    if flat[0]:
+        # runs always start with a background count
+        runs = [0] + runs
+    return f"{width}x{height}:" + " ".join(str(r) for r in runs)

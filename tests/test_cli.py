@@ -369,16 +369,32 @@ class TestRun:
         assert "4 conversations" in out
 
     def test_run_imports_no_third_party_http_client(self, tmp_path):
-        # the gateway is on http.client; a fresh interpreter shows what a
-        # whole run imports
-        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 2)
+        # the gateway is on http.client and masks are intervals on tuples of
+        # ints; a fresh interpreter shows what a whole run imports, with the
+        # mask overlap and merge of bbox conversion taking part
+        manifest = tmp_path / "m.jsonl"
+        lines = []
+        for i in range(2):
+            record = rich_record(i)
+            twin = dict(record["boxes"][0], bbox=[12.0 + i, 10.0, 40.0, 40.0])
+            record["boxes"].append(twin)  # merges with the first lamp
+            for box in record["boxes"]:
+                box["mask_rle"] = rle.from_bbox(box["bbox"], 640, 480)
+            lines.append(record_line(record) + "\n")
+        manifest.write_text("".join(lines), encoding="utf-8")
         plan_shards(manifest, 1, tmp_path / "shards")
         config = write_config(tmp_path, manifest)
         code = (
             "import sys\n"
+            "from convogen import rle\n"
             "from convogen.cli import main\n"
+            "calls = set()\n"
+            "for name in ('intersection_area', 'union'):\n"
+            "    real = getattr(rle, name)\n"
+            "    setattr(rle, name, lambda *a, real=real, name=name: calls.add(name) or real(*a))\n"
             f"assert main(['run', '--config', {str(config)!r}]) == 0\n"
-            "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))\n"
+            "print(sorted(calls), sorted(m for m in ('numpy', 'requests', 'urllib3')\n"
+            "                            if m in sys.modules))\n"
         )
         env = dict(os.environ)
         paths = (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))
@@ -386,7 +402,7 @@ class TestRun:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert done.stdout.splitlines()[-1] == "['intersection_area', 'union'] []"
 
     def test_feature_flag_override(self, tmp_path):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 2)

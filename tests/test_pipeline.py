@@ -320,6 +320,29 @@ class TestRunPipeline:
         assert summary["lost_shards"] == [0]
         assert takeovers[0].is_current()
 
+    def test_deposed_worker_writes_no_error_rows(self, tmp_path, monkeypatch):
+        # images without a conversation are behind the same fence
+        cfg = scripted_config(tmp_path, n=6)
+        shard_path = tmp_path / "shards" / "shard_00000.json"
+        real_write, real_context = pipeline.write_conversation, pipeline.assemble_context
+
+        def write_then_lose_claim(conv, out):
+            real_write(conv, out)
+            claim_shard(shard_path, "usurper", staleness_s=-1.0)
+
+        def fail_after_the_first(bundle, *args, **kwargs):
+            if bundle.image.image_id != "0000":
+                raise RuntimeError("context failed")
+            return real_context(bundle, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "write_conversation", write_then_lose_claim)
+        monkeypatch.setattr(pipeline, "assemble_context", fail_after_the_first)
+        summary = run_pipeline(cfg, worker_id="w1")
+        assert summary["conversations"] == 1
+        assert summary["errors"] == 0
+        assert summary["lost_shards"] == [0]
+        assert not (tmp_path / "out" / "errors.jsonl").exists()
+
     def test_missing_shards_is_config_error(self, tmp_path):
         from convogen.errors import ConfigError
 

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from convogen import rle
 
 from conftest import masks_on
+from oracles import encode
 
 
 def test_round_trip_simple():
     mask = np.zeros((4, 5), dtype=bool)
     mask[1:3, 2:4] = True
-    encoded = rle.encode(mask)
+    encoded = encode(mask)
     assert encoded.startswith("5x4:")
     assert np.array_equal(rle.decode(encoded), mask)
 
@@ -19,10 +20,10 @@ def test_round_trip_simple():
 def test_all_background_and_all_foreground():
     empty = np.zeros((3, 3), dtype=bool)
     full = np.ones((3, 3), dtype=bool)
-    assert rle.encode(empty) == "3x3:9"
-    assert rle.encode(full) == "3x3:0 9"
-    assert rle.foreground_area(rle.encode(empty)) == 0
-    assert rle.foreground_area(rle.encode(full)) == 9
+    assert encode(empty) == "3x3:9"
+    assert encode(full) == "3x3:0 9"
+    assert rle.foreground_area(encode(empty)) == 0
+    assert rle.foreground_area(encode(full)) == 9
 
 
 def test_grid_size_and_area():
@@ -46,7 +47,7 @@ def test_bad_runs_rejected():
 def test_round_trip_random(width, height, seed):
     rng = np.random.default_rng(seed)
     mask = rng.random((height, width)) > 0.5
-    assert np.array_equal(rle.decode(rle.encode(mask)), mask)
+    assert np.array_equal(rle.decode(encode(mask)), mask)
 
 
 # ------------------------------------------------- interval arithmetic
@@ -60,7 +61,12 @@ def mask_sets(draw, max_masks=4):
     return draw(st.lists(masks_on(width, height), min_size=1, max_size=max_masks))
 
 
-@given(mask_sets(max_masks=2))
+def wide_mask_sets(max_masks=4):
+    """Many intervals per mask, so the overlap window cuts off some of them."""
+    return st.lists(masks_on(64, 48, max_cuts=120), min_size=1, max_size=max_masks)
+
+
+@given(mask_sets(max_masks=2) | wide_mask_sets(max_masks=2))
 def test_intersection_and_area_match_decode_oracle(masks):
     a, b = masks[0], masks[-1]
     ma, mb = rle.decode(a), rle.decode(b)
@@ -70,10 +76,10 @@ def test_intersection_and_area_match_decode_oracle(masks):
     assert rle.intervals(a)[:2] == (ma.shape[1], ma.shape[0])
 
 
-@given(mask_sets())
+@given(mask_sets() | wide_mask_sets())
 def test_union_is_byte_identical_to_encode(masks):
     union = np.logical_or.reduce([rle.decode(m) for m in masks])
-    assert rle.union(masks) == rle.encode(union)
+    assert rle.union(masks) == encode(union)
 
 
 @pytest.mark.parametrize(
@@ -88,7 +94,7 @@ def test_union_is_byte_identical_to_encode(masks):
     ],
 )
 def test_union_of_one_mask_is_canonical(mask, canonical):
-    assert rle.union([mask]) == canonical == rle.encode(rle.decode(mask))
+    assert rle.union([mask]) == canonical == encode(rle.decode(mask))
 
 
 def test_all_background_and_all_foreground_intervals():
@@ -118,7 +124,7 @@ def test_different_grids_raise():
 
 def test_intervals_are_read_only():
     iv = rle.intervals("4x3:2 5 5")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         iv.ends[0] = 0
 
 
@@ -135,4 +141,4 @@ def test_from_bbox_matches_grid_oracle(grid, xy, wh):
     mask = np.zeros((height, width), dtype=bool)
     if x1 > x0 and y1 > y0:
         mask[y0:y1, x0:x1] = True
-    assert rle.from_bbox((x, y, w, h), width, height) == rle.encode(mask)
+    assert rle.from_bbox((x, y, w, h), width, height) == encode(mask)

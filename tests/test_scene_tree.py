@@ -26,6 +26,7 @@ from convogen.scene_tree import (
 )
 
 from conftest import DATA_DIR, make_image, masks_on
+from oracles import encode
 
 P = SceneTreeParams()
 
@@ -242,8 +243,8 @@ class TestOverlapStats:
         mask_a[10:14, 2:6] = True  # irregular lobe
         mask_b = np.zeros((grid, grid), dtype=bool)
         mask_b[12:28, 10:30] = True
-        a = region("m", (2, 4, 20, 16), mask=rle.encode(mask_a))
-        b = region("m", (10, 12, 20, 16), mask=rle.encode(mask_b))
+        a = region("m", (2, 4, 20, 16), mask=encode(mask_a))
+        b = region("m", (10, 12, 20, 16), mask=encode(mask_b))
         stats = overlap_stats(a, b)
         iou, containment, dist = oracle_mask_stats_pixel_loop(a, b)
         assert stats.iou == pytest.approx(iou)
@@ -278,7 +279,7 @@ class TestMaskIntervals:
     def test_merged_mask_is_encode_of_the_union(self, regions):
         merged = _merge_component(regions)
         union = np.logical_or.reduce([rle.decode(r.mask_rle) for r in regions])
-        assert merged.mask_rle == rle.encode(union)
+        assert merged.mask_rle == encode(union)
         assert merged.area == int(union.sum())
 
     def test_mask_outside_its_bbox_counts_by_pixels(self):

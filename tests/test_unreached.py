@@ -16,8 +16,7 @@ ALLOWED = {
     "ingestion:_read_run": "only past run_size, 50 000 records; tested with a small run_size",
     "metadata:default_image_key": "merge_bundles' default key, which group_by_image overrides",
     "pipeline:validate_conversation_record": "perfbench's output check calls it",
-    "rle:encode": "pinned by perfbench until it moves to a test oracle (ROADMAP item 1)",
-    "rle:decode": "pinned by perfbench until it moves to a test oracle (ROADMAP item 1)",
+    "rle:decode": "perfbench patches it and clears its cache; it moves with ROADMAP item 1",
     "scripted_server:_prog_echo_last_user": "reached by run --scripted-fixtures",
     "scripted_server:load_fixture_file": "reached by run --scripted-fixtures",
     "scripted_server:ScriptedLlmServer.stats": "perfbench's backend reports it",
