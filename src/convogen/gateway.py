@@ -5,25 +5,22 @@ Concurrency is bounded with a semaphore shared by all worker threads;
 transient failures (connection errors, 429/5xx) are retried with
 deterministic exponential backoff. Usage is accounted per pipeline stage.
 
-The transport is the standard library's ``http.client`` on a pool of
-keep-alive connections owned by the gateway, not by a thread: a call takes
-an idle connection (or opens one) inside the semaphore and puts it back
-after reading the whole response, so the pool never holds more than
-``max_in_flight`` connections and outlives the thread pools that use it.
-A pooled connection the server closed while it sat idle fails before any
-response arrives (``RemoteDisconnected``, ``BrokenPipeError``,
-``ConnectionResetError``); the request is then sent once more, at once, on
-a fresh connection, and that is not a retry (RFC 9112 section 9.3.1). Any
-other transport failure, on a fresh connection included, spends the retry
-budget. The gateway connects straight to ``endpoint_url``; proxy settings
-in the environment are not read.
+The transport is a small HTTP/1.1 client of its own. Head and body go out
+in one ``sendall``; the reader skips 1xx replies, reads chunked and
+``Content-Length`` bodies (else to the end of the stream) and caps lines
+and fields as ``http.client`` does. ``https`` is verified against the
+system's CA certificates; proxy settings are not read. At most
+``max_in_flight`` keep-alive connections are pooled. A pooled one that the
+server closed while idle is sent once more on a fresh connection, which is
+not a retry (RFC 9112 section 9.3.1); any other failure spends the budget.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
+import socket
+import ssl
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -38,10 +35,18 @@ ROLES = {"system", "user", "assistant"}
 ENV_ENDPOINT = "CONVOGEN_ENDPOINT_URL"
 ENV_API_KEY = "CONVOGEN_API_KEY"
 
-# how a kept-alive connection that the server has closed fails
-# (RemoteDisconnected is a ConnectionResetError)
-STALE_CONNECTION = (BrokenPipeError, ConnectionResetError)
-TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+MAX_LINE, MAX_FIELDS = 65536, 100  # as http.client: bytes a line, fields a header
+
+
+class WireError(ValueError):
+    """A reply that breaks HTTP/1.1 framing."""
+
+
+class StaleConnection(ConnectionError):
+    """The server closed a kept-alive connection before any reply arrived."""
+
+
+TRANSPORT_ERRORS = (OSError, ValueError)  # ValueError: a reply that cannot be framed
 
 
 @dataclass
@@ -102,20 +107,106 @@ class GatewayConfig:
 
     def with_env_overrides(self) -> "GatewayConfig":
         """Environment overrides credentials/endpoint only."""
-        return replace(
-            self,
-            endpoint_url=os.environ.get(ENV_ENDPOINT, self.endpoint_url),
-            api_key=os.environ.get(ENV_API_KEY, self.api_key),
-        )
+        return replace(self, endpoint_url=os.environ.get(ENV_ENDPOINT, self.endpoint_url),
+                       api_key=os.environ.get(ENV_API_KEY, self.api_key))
 
 
-def _endpoint(url: str) -> tuple[type, str, Optional[int], str]:
-    """(connection class, host, port, base path) of an http(s) URL."""
+def _endpoint(url: str) -> tuple[bool, str, Optional[int], str]:
+    """(tls, host, port, base path) of an http(s) URL."""
     parts = urlsplit(url.rstrip("/"))
-    classes = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
-    if parts.scheme not in classes or not parts.hostname:
+    if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"not an http(s) endpoint: {url!r}")
-    return classes[parts.scheme], parts.hostname, parts.port, parts.path
+    return parts.scheme == "https", parts.hostname, parts.port, parts.path
+
+
+def _tls_context(tls: bool) -> Optional[ssl.SSLContext]:
+    context = ssl.create_default_context() if tls else None  # checks certificate and host
+    if context is not None:
+        context.set_alpn_protocols(["http/1.1"])
+    return context
+
+
+def _head(method: str, path: str, tls: bool, host: str, port: Optional[int], *fields) -> bytes:
+    """A request head up to its blank line: ``Host``, ``Accept-Encoding``, ``fields``."""
+    if not all(field.isprintable() for field in fields):
+        raise ValueError("a header field holds a control character")
+    authority = f"[{host}]" if ":" in host else host
+    if port is not None and port != (443 if tls else 80):
+        authority += f":{port}"
+    lines = (f"{method} {path} HTTP/1.1", f"Host: {authority}", "Accept-Encoding: identity")
+    return "\r\n".join((*lines, *fields, "")).encode("latin-1")
+
+
+class _Connection:
+    """One HTTP/1.1 connection: a socket and a buffered reader of its replies."""
+
+    def __init__(self, host: str, port: Optional[int], timeout_s: float,
+                 tls: Optional[ssl.SSLContext]):
+        sock = socket.create_connection((host, port or (443 if tls else 80)), timeout_s)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # a failed handshake closes the socket, which the TLS socket has taken over
+        self.sock = tls.wrap_socket(sock, server_hostname=host) if tls else sock
+        self.reader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def _line(self) -> bytes:
+        line = self.reader.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise WireError(f"line longer than {MAX_LINE} bytes")
+        return line
+
+    def _read(self, size: int) -> bytes:
+        data = self.reader.read(size) if size >= 0 else b""
+        if len(data) != size:
+            raise WireError(f"body of {size} bytes ended after {len(data)}")
+        return data
+
+    def _fields(self) -> dict[bytes, bytes]:
+        """Header or trailer fields by lower-case name; repeats join with commas."""
+        fields: dict[bytes, bytes] = {}
+        for _ in range(MAX_FIELDS + 1):
+            line = self._line()
+            if not line.strip():
+                return fields
+            name, _, value = line.partition(b":")
+            name, value = name.strip().lower(), value.strip()
+            fields[name] = fields[name] + b", " + value if name in fields else value
+        raise WireError(f"more than {MAX_FIELDS} fields")
+
+    def exchange(self, request: bytes) -> tuple[int, bytes, bool]:
+        """Send a whole request; the final reply's status, body and keep-alive."""
+        try:
+            self.sock.sendall(request)
+            line = self._line()
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise StaleConnection(repr(exc)) from exc
+        if not line:
+            raise StaleConnection("closed before a status line")
+        while True:  # an interim 1xx reply has no body
+            version, code = (line.split(None, 2) + [b"", b""])[:2]
+            if version not in (b"HTTP/1.1", b"HTTP/1.0") or len(code) != 3 or not code.isdigit():
+                raise WireError(f"bad status line {line[:80]!r}")
+            status, fields = int(code), self._fields()
+            if status >= 200:
+                break
+            line = self._line()
+        keep = version == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
+        coding = fields.get(b"transfer-encoding", b"").lower()
+        if status in (204, 304):
+            return status, b"", keep
+        if coding.endswith(b"chunked"):
+            chunks = []
+            while chunk := self._read(int(self._line().split(b";", 1)[0], 16)):
+                chunks.append(chunk)
+                self._line()  # the line end after the chunk
+            self._fields()  # the trailer, dropped
+            return status, b"".join(chunks), keep
+        if coding or b"content-length" not in fields:
+            return status, self.reader.read(), False  # the body ends with the stream
+        return status, self._read(int(fields[b"content-length"])), keep
 
 
 def backoff_delays_s(base_ms: int, retries: int) -> list[float]:
@@ -129,34 +220,26 @@ class LlmGateway:
     def __init__(self, cfg: GatewayConfig):
         self.cfg = cfg
         self._url = cfg.endpoint_url.rstrip("/") + "/v1/chat/completions"
-        self._connection_class, self._host, self._port, base_path = _endpoint(
-            cfg.endpoint_url
-        )
-        self._path = base_path + "/v1/chat/completions"
-        self._idle: list[http.client.HTTPConnection] = []
+        tls, self._host, self._port, base_path = _endpoint(cfg.endpoint_url)
+        self._tls = _tls_context(tls)  # one context for every connection
+        auth = [f"Authorization: Bearer {cfg.api_key}"] if cfg.api_key else []
+        self._head = _head("POST", base_path + "/v1/chat/completions", tls, self._host,
+                           self._port, "Content-Type: application/json", *auth)
+        self._idle: list[_Connection] = []
         self._sem = threading.BoundedSemaphore(cfg.max_in_flight)
         self._lock = threading.Lock()
         self._in_flight = 0
-        self._metrics = {
-            "requests": 0,
-            "retries": 0,
-            "max_retries_single_request": 0,
-            "high_water_in_flight": 0,
-            "stages": {},
-        }
+        self._metrics = {"requests": 0, "retries": 0, "max_retries_single_request": 0,
+                         "high_water_in_flight": 0, "stages": {}}
 
     def _record(self, stage: str, usage: Usage, latency_ms: int, retries: int) -> None:
         with self._lock:
             m = self._metrics
             m["requests"] += 1
             m["retries"] += retries
-            m["max_retries_single_request"] = max(
-                m["max_retries_single_request"], retries
-            )
-            bucket = m["stages"].setdefault(
-                stage,
-                {"calls": 0, "prompt_tokens": 0, "completion_tokens": 0, "latency_ms": 0},
-            )
+            m["max_retries_single_request"] = max(m["max_retries_single_request"], retries)
+            bucket = m["stages"].setdefault(stage, dict.fromkeys(
+                ("calls", "prompt_tokens", "completion_tokens", "latency_ms"), 0))
             bucket["calls"] += 1
             bucket["prompt_tokens"] += usage.prompt_tokens
             bucket["completion_tokens"] += usage.completion_tokens
@@ -164,10 +247,8 @@ class LlmGateway:
 
     def metrics_snapshot(self) -> dict:
         with self._lock:
-            return {
-                **{k: v for k, v in self._metrics.items() if k != "stages"},
-                "stages": {k: dict(v) for k, v in self._metrics["stages"].items()},
-            }
+            m = self._metrics
+            return {**m, "stages": {k: dict(v) for k, v in m["stages"].items()}}
 
     def close(self) -> None:
         """Close the idle connections; a later call opens new ones."""
@@ -176,33 +257,30 @@ class LlmGateway:
         for conn in idle:
             conn.close()
 
-    def _exchange(
-        self, conn: http.client.HTTPConnection, body: bytes, headers: dict
-    ) -> tuple[int, bytes]:
-        """One request and its whole response; the connection goes back to
-        the pool if it is still open, and is closed on any failure."""
+    def _exchange(self, conn: _Connection, request: bytes) -> tuple[int, bytes]:
+        """One request and its reply; the connection is pooled again if it can be."""
         try:
-            conn.request("POST", self._path, body, headers)
-            resp = conn.getresponse()
-            data = resp.read()
+            status, data, keep = conn.exchange(request)
         except BaseException:
             conn.close()
             raise
-        if conn.sock is not None:  # http.client closes it on "Connection: close"
+        if keep:
             with self._lock:
                 self._idle.append(conn)
-        return resp.status, data
+        else:
+            conn.close()
+        return status, data
 
-    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+    def _post(self, request: bytes) -> tuple[int, bytes]:
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         if conn is not None:
             try:
-                return self._exchange(conn, body, headers)
-            except STALE_CONNECTION:
+                return self._exchange(conn, request)
+            except StaleConnection:
                 pass  # closed while idle: once more on a fresh connection
-        fresh = self._connection_class(self._host, self._port, timeout=self.cfg.timeout_s)
-        return self._exchange(fresh, body, headers)
+        fresh = _Connection(self._host, self._port, self.cfg.timeout_s, self._tls)
+        return self._exchange(fresh, request)
 
     def _parse(self, body: bytes) -> tuple[str, Usage]:
         try:
@@ -220,32 +298,23 @@ class LlmGateway:
 
     def chat(self, req: ChatRequest, stage: str = "default") -> ChatResponse:
         cfg = self.cfg
-        payload = {
-            "model": req.model,
-            "messages": req.messages,
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
-        }
+        payload = {"model": req.model, "messages": req.messages,
+                   "temperature": req.temperature, "max_tokens": req.max_tokens}
         if req.seed is not None:
             payload["seed"] = req.seed
         body = json.dumps(payload).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if cfg.api_key:
-            headers["Authorization"] = f"Bearer {cfg.api_key}"
+        request = b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(body), body)
         delays = backoff_delays_s(cfg.backoff_base_ms, cfg.retry_budget)
         with self._sem:
             with self._lock:
                 self._in_flight += 1
-                self._metrics["high_water_in_flight"] = max(
-                    self._metrics["high_water_in_flight"], self._in_flight
-                )
+                m = self._metrics
+                m["high_water_in_flight"] = max(m["high_water_in_flight"], self._in_flight)
             started = time.monotonic()
             try:
-                attempt = 0
-                while True:
-                    failure = None
+                for attempt in range(cfg.retry_budget + 1):
                     try:
-                        status, data = self._post(body, headers)
+                        status, data = self._post(request)
                     except TRANSPORT_ERRORS as exc:
                         failure = f"transport error: {exc!r}"
                     else:
@@ -253,34 +322,26 @@ class LlmGateway:
                             content, usage = self._parse(data)
                             latency_ms = int((time.monotonic() - started) * 1000)
                             self._record(stage, usage, latency_ms, attempt)
-                            return ChatResponse(
-                                content=content, usage=usage, latency_ms=latency_ms
-                            )
+                            return ChatResponse(content, usage, latency_ms)
                         if status in TRANSIENT_STATUSES:
                             failure = f"HTTP {status}"
                         else:
                             text = data.decode("utf-8", errors="replace")
                             raise ProtocolError(f"HTTP {status}: {text[:200]}")
                     if attempt >= cfg.retry_budget:
-                        self._record(stage, Usage(), 0, attempt)
-                        raise LlmUnavailable(
-                            f"{failure} after {attempt} retries against {self._url}"
-                        )
+                        latency_ms = int((time.monotonic() - started) * 1000)
+                        self._record(stage, Usage(), latency_ms, attempt)
+                        raise LlmUnavailable(f"{failure} after {attempt} retries "
+                                             f"against {self._url}")
                     time.sleep(delays[attempt])
-                    attempt += 1
             finally:
                 with self._lock:
                     self._in_flight -= 1
 
     def complete(self, prompt: str, stage: str = "default", seed: Optional[int] = None) -> str:
         """One-shot convenience wrapper returning the reply text."""
-        req = ChatRequest(
-            model=self.cfg.model,
-            messages=[{"role": "user", "content": prompt}],
-            temperature=self.cfg.temperature,
-            max_tokens=self.cfg.max_tokens,
-            seed=seed,
-        )
+        req = ChatRequest(self.cfg.model, [{"role": "user", "content": prompt}],
+                          self.cfg.temperature, self.cfg.max_tokens, seed)
         return self.chat(req, stage=stage).content
 
 
@@ -304,13 +365,12 @@ def ask(
 def probe_endpoint(endpoint_url: str, timeout_s: float = 5.0) -> bool:
     """True when something answers HTTP at the endpoint (any status)."""
     try:
-        connection_class, host, port, base_path = _endpoint(endpoint_url)
-        conn = connection_class(host, port, timeout=timeout_s)
+        tls, host, port, base_path = _endpoint(endpoint_url)
+        conn = _Connection(host, port, timeout_s, _tls_context(tls))
         try:
-            conn.request("GET", base_path + "/")
-            conn.getresponse().read()
+            conn.exchange(_head("GET", base_path + "/", tls, host, port) + b"\r\n")
         finally:
             conn.close()
         return True
-    except (ValueError, *TRANSPORT_ERRORS):
+    except TRANSPORT_ERRORS:
         return False

@@ -369,9 +369,10 @@ class TestRun:
         assert "4 conversations" in out
 
     def test_run_imports_no_third_party_http_client(self, tmp_path):
-        # the gateway is on http.client and masks are intervals on tuples of
-        # ints; a fresh interpreter shows what a whole run imports, with the
-        # mask overlap and merge of bbox conversion taking part
+        # the gateway speaks HTTP over the socket module and masks are
+        # intervals on tuples of ints; a fresh interpreter shows what a whole
+        # run imports, with the mask overlap and merge of bbox conversion
+        # taking part
         manifest = tmp_path / "m.jsonl"
         lines = []
         for i in range(2):

@@ -1,5 +1,8 @@
-import http.client
+import json
+import shutil
 import socket
+import ssl
+import subprocess
 import sys
 import threading
 import time
@@ -54,6 +57,77 @@ def closed_port_url() -> str:
     return f"http://127.0.0.1:{port}"
 
 
+def completion(text: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+
+def with_length(body: bytes, version: bytes = b"HTTP/1.1") -> bytes:
+    return version + b" 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+
+def chunked(body: bytes) -> bytes:
+    parts = (body[:7], body[7:])
+    chunks = b"".join(b"%x;note=x\r\n%s\r\n" % (len(part), part) for part in parts)
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks
+            + b"0\r\nX-Checksum: none\r\n\r\n")
+
+
+class RawServer:
+    """A server thread on a raw socket. The n-th connection it accepts gets
+    the n-th list of replies, one per request read; then the server
+    half-closes it and keeps whatever the client still sends."""
+
+    def __init__(self, script: list[list[bytes]]):
+        self.script = script
+        self.accepted = 0
+        self.heads: list[bytes] = []
+        self.leftover = b""
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve)
+
+    def __enter__(self) -> "RawServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self._thread.join(timeout=10)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+    def _read_request(self, reader) -> bool:
+        head = b""
+        while (line := reader.readline()) not in (b"\r\n", b""):
+            head += line
+        if not line:
+            return False
+        self.heads.append(head)
+        length = [int(h.split(b":")[1]) for h in head.split(b"\r\n")
+                  if h.lower().startswith(b"content-length:")]
+        reader.read(length[0] if length else 0)
+        return True
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            replies = self.script[self.accepted] if self.accepted < len(self.script) else []
+            self.accepted += 1
+            conn.settimeout(5)
+            with conn, conn.makefile("rb") as reader:
+                for reply in replies:
+                    if not self._read_request(reader):
+                        break
+                    conn.sendall(reply)
+                conn.shutdown(socket.SHUT_WR)
+                self.leftover += reader.read()
+
+
 class ConnectionLog:
     """Counts the TCP connections a ``ScriptedLlmServer`` accepts and the
     ones it has seen end, by wrapping ``_Handler.setup`` and ``finish``."""
@@ -85,6 +159,27 @@ class ConnectionLog:
                     return True
             time.sleep(0.01)
         return False
+
+
+SHORT = b"HTTP/1.1 200 OK\r\nContent-Length: 999\r\n\r\n" + completion("cut")
+GARBAGE = b"HTTTP/1.1 2x0 nope\r\n\r\n"
+# connection scripts, then per call the reply text or LlmUnavailable, then
+# the retries spent; every call of a case runs with retry_budget=1
+WIRE_CASES = {
+    "chunked-body-with-trailer":
+        ([[chunked(completion("one")), chunked(completion("two"))]], ["one", "two"], 0),
+    "100-continue-then-200":
+        ([[b"HTTP/1.1 100 Continue\r\n\r\n" + with_length(completion("one"))]], ["one"], 0),
+    # no Content-Length: the body ends with the stream, and the connection
+    # is not pooled, so the next call opens a new one
+    "http-1.0-read-to-eof": ([[b"HTTP/1.0 200 OK\r\n\r\n" + completion("one")],
+                              [b"HTTP/1.0 200 OK\r\n\r\n" + completion("two")]],
+                             ["one", "two"], 0),
+    "body-shorter-than-content-length": ([[SHORT], [SHORT]], [LlmUnavailable], 1),
+    # the bad reply comes on a pooled connection, and still spends the budget
+    "garbage-status-line": ([[with_length(completion("one")), GARBAGE], [GARBAGE]],
+                            ["one", LlmUnavailable], 1),
+}
 
 
 class TestChatRequest:
@@ -324,12 +419,71 @@ class TestTransport:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("script, expected, retries", WIRE_CASES.values(),
+                             ids=WIRE_CASES.keys())
+    def test_reply_framing(self, script, expected, retries):
+        with RawServer(script) as server:
+            gw = LlmGateway(GatewayConfig(endpoint_url=server.url, retry_budget=1,
+                                          backoff_base_ms=1, timeout_s=5))
+            for i, want in enumerate(expected):
+                if want is LlmUnavailable:
+                    with pytest.raises(LlmUnavailable, match="transport error"):
+                        gw.chat(make_request(f"call {i}"))
+                else:
+                    assert gw.chat(make_request(f"call {i}")).content == want
+            gw.close()
+        assert server.accepted == len(script)  # no more connections than scripted
+        assert server.leftover == b""  # no request on a connection that had ended
+        assert gw.metrics_snapshot()["retries"] == retries
+        port = server.url.rsplit(":", 1)[1].encode()
+        assert server.heads[0].startswith(
+            b"POST /v1/chat/completions HTTP/1.1\r\nHost: 127.0.0.1:" + port
+            + b"\r\nAccept-Encoding: identity\r\n")
+
+    @pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
+    def test_https_endpoint_is_verified(self, tmp_path, monkeypatch):
+        cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+        subprocess.run(
+            ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt",
+             "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1", "-subj", "/CN=127.0.0.1",
+             "-addext", "subjectAltName=IP:127.0.0.1", "-keyout", str(key), "-out", str(cert)],
+            check=True, capture_output=True, timeout=60,
+        )
+        served = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        served.load_cert_chain(cert, key)
+        server = ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}])
+        server._httpd.socket = served.wrap_socket(server._httpd.socket, server_side=True)
+        with server:
+            url = server.url.replace("http://", "https://")
+            untrusted = LlmGateway(GatewayConfig(endpoint_url=url, retry_budget=0))
+            with pytest.raises(LlmUnavailable, match="CERTIFICATE_VERIFY_FAILED"):
+                untrusted.chat(make_request("who are you"))
+            system_default = ssl.create_default_context
+            monkeypatch.setattr(ssl, "create_default_context",
+                                lambda: system_default(cafile=str(cert)))
+            trusted = LlmGateway(GatewayConfig(endpoint_url=url, retry_budget=0))
+            try:
+                assert trusted.chat(make_request("over tls")).content == "over tls"
+            finally:
+                trusted.close()
+
+    def test_failed_call_records_its_time(self):
+        # the backoff alone sleeps 20 + 40 ms before the budget runs out
+        with ScriptedLlmServer(fixtures=[{"pattern": ".", "status": 503}]) as server:
+            gw = LlmGateway(GatewayConfig(endpoint_url=server.url, retry_budget=2,
+                                          backoff_base_ms=20))
+            with pytest.raises(LlmUnavailable):
+                gw.chat(make_request("down"), stage="verify")
+            gw.close()
+        bucket = gw.metrics_snapshot()["stages"]["verify"]
+        assert set(bucket) == {"calls", "prompt_tokens", "completion_tokens", "latency_ms"}
+        assert bucket["calls"] == 1 and bucket["latency_ms"] >= 60
+
     @pytest.mark.parametrize(
         "url, expected",
         [
-            ("http://127.0.0.1:8000", (http.client.HTTPConnection, "127.0.0.1", 8000, "")),
-            ("https://models.example/v2/",
-             (http.client.HTTPSConnection, "models.example", None, "/v2")),
+            ("http://127.0.0.1:8000", (False, "127.0.0.1", 8000, "")),
+            ("https://models.example/v2/", (True, "models.example", None, "/v2")),
         ],
     )
     def test_endpoint_parts(self, url, expected):
