@@ -91,7 +91,7 @@ def run_config(work: Path, name: str, grouped: Path, **overrides) -> str:
         "prompts_set": "default",
         "shard_dir": str(work / "shards"),
         "parallelism": 2,
-        "heartbeat_s": 0.01,  # so the committer refreshes the claims during a run
+        "claim_staleness_s": 0.1,  # so the committer refreshes the claims during a run
         "gateway": {"mode": "scripted", "backoff_base_ms": 1},
         **overrides,
     }

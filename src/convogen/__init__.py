@@ -3,7 +3,7 @@ visual instruction conversations with an LLM in the loop."""
 
 from .config import FeatureFlags, PipelineConfig, load_config
 from .context import ContextSentence, ContextSet, assemble_context
-from .gateway import ChatRequest, ChatResponse, GatewayConfig, LlmGateway
+from .gateway import GatewayConfig, LlmGateway
 from .generation import (
     Conversation,
     GenerationParams,
@@ -33,8 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxAnnotation",
     "CaptionAnnotation",
-    "ChatRequest",
-    "ChatResponse",
     "ContextSentence",
     "ContextSet",
     "Conversation",

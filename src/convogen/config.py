@@ -50,7 +50,6 @@ class PipelineConfig:
     rng_seed: int = 0
     parallelism: int = 4
     reduce_mode: Literal["llm", "lexical"] = "llm"
-    heartbeat_s: float = 30.0
     claim_staleness_s: float = 300.0
     scripted_fixtures: Optional[str] = None
     scripted_latency_base_ms: float = 0.0
@@ -103,12 +102,9 @@ def build_section(cls, data: dict):
 
 def config_from_dict(data: dict) -> PipelineConfig:
     cfg = build_section(PipelineConfig, data)
-    if not 0 < cfg.heartbeat_s < cfg.claim_staleness_s:
-        # a live worker's claim would go stale between two heartbeats
-        raise ConfigError(
-            f"heartbeat_s {cfg.heartbeat_s} must be above 0 and below "
-            f"claim_staleness_s {cfg.claim_staleness_s}"
-        )
+    if cfg.claim_staleness_s <= 0:
+        # every claim, a live worker's own included, would be stale at once
+        raise ConfigError(f"claim_staleness_s {cfg.claim_staleness_s} must be above 0")
     cfg.gateway = cfg.gateway.with_env_overrides()
     return cfg
 

@@ -5,10 +5,6 @@ class PipelineError(Exception):
     """Base class for all pipeline errors."""
 
 
-class MismatchedImage(PipelineError):
-    """Two bundles do not resolve to the same canonical image."""
-
-
 class DimensionConflict(PipelineError):
     """The same image is reported with irreconcilable pixel dimensions."""
 

@@ -30,7 +30,6 @@ from urllib.parse import urlsplit
 from .errors import LlmUnavailable, ProtocolError
 
 TRANSIENT_STATUSES = {429, 500, 502, 503, 504}
-ROLES = {"system", "user", "assistant"}
 
 ENV_ENDPOINT = "CONVOGEN_ENDPOINT_URL"
 ENV_API_KEY = "CONVOGEN_API_KEY"
@@ -50,41 +49,6 @@ TRANSPORT_ERRORS = (OSError, ValueError)  # ValueError: a reply that cannot be f
 
 
 @dataclass
-class ChatRequest:
-    model: str
-    messages: list[dict]
-    temperature: float = 0.0
-    max_tokens: int = 1024
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.messages:
-            raise ValueError("messages must be non-empty")
-        if self.messages[0].get("role") not in ("system", "user"):
-            raise ValueError("first message role must be system or user")
-        for m in self.messages:
-            if m.get("role") not in ROLES:
-                raise ValueError(f"bad role {m.get('role')!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be > 0")
-
-
-@dataclass(frozen=True)
-class Usage:
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-
-
-@dataclass(frozen=True)
-class ChatResponse:
-    content: str
-    usage: Usage
-    latency_ms: int
-
-
-@dataclass
 class GatewayConfig:
     endpoint_url: str = "http://127.0.0.1:8000"
     max_in_flight: int = 8
@@ -98,12 +62,21 @@ class GatewayConfig:
     api_key: Optional[str] = None
 
     def __post_init__(self):
+        # settings that would fail every call fail here, at load
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.mode not in ("live", "scripted"):
             raise ValueError(f"bad gateway mode {self.mode!r}")
-        # sampling settings that every request would reject fail here, at load
-        ChatRequest(self.model, [{"role": "user"}], self.temperature, self.max_tokens)
+        if self.retry_budget < 0:
+            raise ValueError("retry_budget must be >= 0")
+        if self.backoff_base_ms < 0:
+            raise ValueError("backoff_base_ms must be >= 0")
+        if self.timeout_s <= 0:
+            raise ValueError("timeout_s must be > 0")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
 
     def with_env_overrides(self) -> "GatewayConfig":
         """Environment overrides credentials/endpoint only."""
@@ -232,7 +205,8 @@ class LlmGateway:
         self._metrics = {"requests": 0, "retries": 0, "max_retries_single_request": 0,
                          "high_water_in_flight": 0, "stages": {}}
 
-    def _record(self, stage: str, usage: Usage, latency_ms: int, retries: int) -> None:
+    def _record(self, stage: str, prompt_tokens: int, completion_tokens: int,
+                latency_ms: int, retries: int) -> None:
         with self._lock:
             m = self._metrics
             m["requests"] += 1
@@ -241,8 +215,8 @@ class LlmGateway:
             bucket = m["stages"].setdefault(stage, dict.fromkeys(
                 ("calls", "prompt_tokens", "completion_tokens", "latency_ms"), 0))
             bucket["calls"] += 1
-            bucket["prompt_tokens"] += usage.prompt_tokens
-            bucket["completion_tokens"] += usage.completion_tokens
+            bucket["prompt_tokens"] += prompt_tokens
+            bucket["completion_tokens"] += completion_tokens
             bucket["latency_ms"] += latency_ms
 
     def metrics_snapshot(self) -> dict:
@@ -282,27 +256,31 @@ class LlmGateway:
         fresh = _Connection(self._host, self._port, self.cfg.timeout_s, self._tls)
         return self._exchange(fresh, request)
 
-    def _parse(self, body: bytes) -> tuple[str, Usage]:
+    def _parse(self, body: bytes) -> tuple[str, int, int]:
+        """(content, prompt tokens, completion tokens) of a reply body."""
         try:
             data = json.loads(body)
             content = data["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError("content is not a string")
             usage = data.get("usage") or {}
-            return content, Usage(
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
-            )
+            return (content, int(usage.get("prompt_tokens", 0)),
+                    int(usage.get("completion_tokens", 0)))
         except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProtocolError(f"malformed chat-completion body: {exc}") from exc
 
-    def chat(self, req: ChatRequest, stage: str = "default") -> ChatResponse:
+    def complete(self, prompt: str, stage: str = "default", seed: Optional[int] = None) -> str:
+        """The reply text to one user message, sent with the configured sampling."""
         cfg = self.cfg
-        payload = {"model": req.model, "messages": req.messages,
-                   "temperature": req.temperature, "max_tokens": req.max_tokens}
-        if req.seed is not None:
-            payload["seed"] = req.seed
-        body = json.dumps(payload).encode("utf-8")
+        payload = {"model": cfg.model, "messages": [{"role": "user", "content": prompt}],
+                   "temperature": cfg.temperature, "max_tokens": cfg.max_tokens}
+        if seed is not None:
+            payload["seed"] = seed
+        return self.chat(json.dumps(payload).encode("utf-8"), stage=stage)
+
+    def chat(self, body: bytes, stage: str = "default") -> str:
+        """Send one JSON request body; the reply text."""
+        cfg = self.cfg
         request = b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(body), body)
         delays = backoff_delays_s(cfg.backoff_base_ms, cfg.retry_budget)
         with self._sem:
@@ -319,10 +297,11 @@ class LlmGateway:
                         failure = f"transport error: {exc!r}"
                     else:
                         if status == 200:
-                            content, usage = self._parse(data)
+                            content, prompt_tokens, completion_tokens = self._parse(data)
                             latency_ms = int((time.monotonic() - started) * 1000)
-                            self._record(stage, usage, latency_ms, attempt)
-                            return ChatResponse(content, usage, latency_ms)
+                            self._record(stage, prompt_tokens, completion_tokens, latency_ms,
+                                         attempt)
+                            return content
                         if status in TRANSIENT_STATUSES:
                             failure = f"HTTP {status}"
                         else:
@@ -330,19 +309,13 @@ class LlmGateway:
                             raise ProtocolError(f"HTTP {status}: {text[:200]}")
                     if attempt >= cfg.retry_budget:
                         latency_ms = int((time.monotonic() - started) * 1000)
-                        self._record(stage, Usage(), latency_ms, attempt)
+                        self._record(stage, 0, 0, latency_ms, attempt)
                         raise LlmUnavailable(f"{failure} after {attempt} retries "
                                              f"against {self._url}")
                     time.sleep(delays[attempt])
             finally:
                 with self._lock:
                     self._in_flight -= 1
-
-    def complete(self, prompt: str, stage: str = "default", seed: Optional[int] = None) -> str:
-        """One-shot convenience wrapper returning the reply text."""
-        req = ChatRequest(self.cfg.model, [{"role": "user", "content": prompt}],
-                          self.cfg.temperature, self.cfg.max_tokens, seed)
-        return self.chat(req, stage=stage).content
 
 
 def ask(

@@ -85,6 +85,8 @@ class GenerationParams:
             raise ValueError("l_min must be > 0")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
+        if self.max_turns < 1:
+            raise ValueError("max_turns must be >= 1")
 
 
 @dataclass(frozen=True)

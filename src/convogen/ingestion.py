@@ -21,7 +21,6 @@ from . import rle
 from .config import build_section
 from .errors import ConfigError, DegenerateBox, DimensionConflict, DuplicateDataset
 from .metadata import (
-    ImageRef,
     MetadataBundle,
     bundle_from_record,
     bundle_to_record,
@@ -334,15 +333,16 @@ def group_by_image(
     disagree on its size by >1px is dropped and reported to ``on_warning``.
     """
 
-    def key_of(image: ImageRef) -> LinkKey:
+    def key_of(bundle: MetadataBundle) -> LinkKey:
+        image = bundle.image
         return link_key(image.dataset_id, image.image_id, image.uri, registry, id_map)
 
-    stream = _sorted_by_key(records, lambda bundle: key_of(bundle.image), run_size)
+    stream = _sorted_by_key(records, key_of, run_size)
     for key, group in itertools.groupby(stream, key=lambda kb: kb[0]):
         merged = None
         try:
             for _, bundle in group:
-                merged = bundle if merged is None else merge_bundles(merged, bundle, key=key_of)
+                merged = bundle if merged is None else merge_bundles(merged, bundle)
         except DimensionConflict as exc:
             if on_warning:
                 on_warning({"image_id": str(key), "reason": f"image dropped: {exc}"})

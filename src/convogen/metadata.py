@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from .errors import DegenerateBox, DimensionConflict, MismatchedImage
+from .errors import DegenerateBox, DimensionConflict
 
 Bbox = tuple[float, float, float, float]
 
@@ -146,22 +146,13 @@ def _dedup_boxes(boxes: Iterable[BoxAnnotation]) -> tuple[BoxAnnotation, ...]:
     return tuple(sorted(out, key=_box_key))
 
 
-def default_image_key(image: ImageRef) -> str:
-    return canonical_image_stem(image.uri)
-
-
-def merge_bundles(
-    a: MetadataBundle,
-    b: MetadataBundle,
-    key: Callable[[ImageRef], object] = default_image_key,
-) -> MetadataBundle:
-    """Union two bundles for the same canonical image.
+def merge_bundles(a: MetadataBundle, b: MetadataBundle) -> MetadataBundle:
+    """Union two bundles for the same canonical image; the caller decides
+    that they are the same.
 
     Exact duplicates collapse to one annotation and every list is sorted by
     (source, content), which makes the merge associative and commutative.
     """
-    if key(a.image) != key(b.image):
-        raise MismatchedImage(f"{a.image.uri!r} vs {b.image.uri!r}")
     if (
         abs(a.image.width - b.image.width) > 1
         or abs(a.image.height - b.image.height) > 1

@@ -36,6 +36,7 @@ from .sharding import ShardClaim, claim_shard, load_shard
 
 STAGES = ("ingest", "tree", "context", "generate", "write")
 IMAGE_TOKEN = "<image>"
+HEARTBEATS_PER_STALENESS = 10  # claim refreshes per claim_staleness_s
 
 
 def image_seed(rng_seed: int, link_key_str: str) -> int:
@@ -356,15 +357,17 @@ def run_pipeline(
             "stage_s": {stage: 0.0 for stage in STAGES},
         }
 
+        refresh_s = cfg.claim_staleness_s / HEARTBEATS_PER_STALENESS
+
         def keep_claims_alive() -> float:
             """Refresh each held claim that is due; returns the seconds to the next."""
-            now, due = time.time(), cfg.heartbeat_s
+            now, due = time.time(), refresh_s
             for shard in open_shards:
                 age = now - shard.claim.heartbeat
-                if age >= cfg.heartbeat_s:
+                if age >= refresh_s:
                     shard.claim.refresh()
                 else:
-                    due = min(due, cfg.heartbeat_s - age)
+                    due = min(due, refresh_s - age)
             return due
 
         def commit_until(in_flight: int) -> None:

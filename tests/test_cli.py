@@ -295,9 +295,9 @@ class TestRun:
             ({"parallelism": "4"}, "parallelism"),
             ({"rng_seed": 1.5}, "rng_seed"),
             ({"features": {"filtering": "no"}}, "filtering"),
-            ({"heartbeat_s": 400, "claim_staleness_s": 300}, "heartbeat_s"),
+            ({"claim_staleness_s": 0}, "claim_staleness_s"),
         ],
-        ids=["parallelism-string", "rng-seed-float", "filtering-string", "heartbeat-past-staleness"],
+        ids=["parallelism-string", "rng-seed-float", "filtering-string", "staleness-zero"],
     )
     def test_wrong_typed_value_exits_two(self, tmp_path, capsys, overrides, key):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
@@ -327,13 +327,29 @@ class TestRun:
         assert claim["released"] is True
 
     @pytest.mark.parametrize(
-        "setting", [{"temperature": -1}, {"max_tokens": 0}], ids=["temperature", "max-tokens"]
+        "section, key, value",
+        [
+            ("gateway", "temperature", -1),
+            ("gateway", "max_tokens", 0),
+            ("gateway", "retry_budget", -1),
+            ("gateway", "backoff_base_ms", -5),
+            ("gateway", "timeout_s", 0),
+            ("gateway", "timeout_s", -1),
+            ("generation", "max_turns", 0),
+        ],
+        ids=["temperature", "max-tokens", "retry-budget", "backoff-base", "timeout-zero",
+             "timeout-negative", "generation-max-turns"],
     )
-    def test_bad_gateway_setting_exits_two_before_any_image(self, tmp_path, setting):
+    def test_bad_gateway_setting_exits_two_before_any_image(self, tmp_path, capsys, section,
+                                                             key, value):
+        # each value would fail every model call, or run no stage at all
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
         plan_shards(manifest, 1, tmp_path / "shards")
-        config = write_config(tmp_path, manifest, gateway={"mode": "scripted", **setting})
+        sections = {"gateway": {"mode": "scripted"}, "generation": {}}
+        sections[section][key] = value
+        config = write_config(tmp_path, manifest, **sections)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
         assert not list((tmp_path / "shards").glob("*.claim.*"))
 
     def test_moved_shard_manifest_exits_two_and_releases_the_claim(self, tmp_path, capsys):

@@ -12,7 +12,6 @@ import pytest
 from convogen import scripted_server
 from convogen.errors import ConfigError, LlmUnavailable, ProtocolError
 from convogen.gateway import (
-    ChatRequest,
     GatewayConfig,
     LlmGateway,
     _endpoint,
@@ -20,10 +19,6 @@ from convogen.gateway import (
     probe_endpoint,
 )
 from convogen.scripted_server import PROGRAMS, ScriptedLlmServer, load_fixture_file, request_digest
-
-
-def make_request(content="hello", model="m"):
-    return ChatRequest(model=model, messages=[{"role": "user", "content": content}])
 
 
 _opened: list[LlmGateway] = []
@@ -81,6 +76,7 @@ class RawServer:
         self.script = script
         self.accepted = 0
         self.heads: list[bytes] = []
+        self.bodies: list[bytes] = []
         self.leftover = b""
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(0.05)
@@ -107,7 +103,7 @@ class RawServer:
         self.heads.append(head)
         length = [int(h.split(b":")[1]) for h in head.split(b"\r\n")
                   if h.lower().startswith(b"content-length:")]
-        reader.read(length[0] if length else 0)
+        self.bodies.append(reader.read(length[0] if length else 0))
         return True
 
     def _serve(self) -> None:
@@ -182,24 +178,14 @@ WIRE_CASES = {
 }
 
 
-class TestChatRequest:
-    def test_requires_messages(self):
-        with pytest.raises(ValueError):
-            ChatRequest(model="m", messages=[])
-
-    def test_first_role_constraint(self):
-        with pytest.raises(ValueError):
-            ChatRequest(model="m", messages=[{"role": "assistant", "content": "x"}])
-
-
 class TestScriptedServer:
     def test_digest_fixture_served(self):
-        req = make_request("ping")
-        digest = request_digest(req.messages)
+        digest = request_digest([{"role": "user", "content": "ping"}])
         with ScriptedLlmServer(fixtures=[{"digest": digest, "response": "pong"}]) as server:
-            out = gateway_for(server).chat(req)
-        assert out.content == "pong"
-        assert out.usage.prompt_tokens > 0
+            gw = gateway_for(server)
+            out = gw.complete("ping")
+        assert out == "pong"
+        assert gw.metrics_snapshot()["stages"]["default"]["prompt_tokens"] > 0
 
     def test_accepted_connections_disable_nagle(self, monkeypatch):
         # a response leaves in two sends (headers, then body); with Nagle on,
@@ -216,8 +202,8 @@ class TestScriptedServer:
         monkeypatch.setattr(scripted_server._Handler, "setup", recording_setup)
         with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
             gw = gateway_for(server)
-            assert gw.chat(make_request("one")).content == "one"
-            assert gw.chat(make_request("two")).content == "two"
+            assert gw.complete("one") == "one"
+            assert gw.complete("two") == "two"
         assert nodelay and all(nodelay)
 
     def test_stop_on_idle_server_is_prompt(self):
@@ -233,22 +219,21 @@ class TestScriptedServer:
     def test_unknown_digest_is_protocol_error(self):
         with ScriptedLlmServer(fixtures=[]) as server:
             with pytest.raises(ProtocolError):
-                gateway_for(server).chat(make_request("nothing matches"))
+                gateway_for(server).complete("nothing matches")
 
     def test_echo_fallback(self):
         with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
-            out = gateway_for(server).chat(make_request("echo me"))
-        assert out.content == "echo me"
+            out = gateway_for(server).complete("echo me")
+        assert out == "echo me"
 
     def test_429_then_success_records_one_retry(self):
-        req = make_request("flaky")
-        digest = request_digest(req.messages)
+        digest = request_digest([{"role": "user", "content": "flaky"}])
         fixtures = [{"digest": digest, "responses": [{"status": 429}, "recovered"]}]
         with ScriptedLlmServer(fixtures=fixtures) as server:
             gw = gateway_for(server)
-            out = gw.chat(req)
+            out = gw.complete("flaky")
             metrics = gw.metrics_snapshot()
-        assert out.content == "recovered"
+        assert out == "recovered"
         assert metrics["retries"] == 1
         assert metrics["max_retries_single_request"] == 1
 
@@ -257,7 +242,7 @@ class TestScriptedServer:
         with ScriptedLlmServer(fixtures=fixtures) as server:
             gw = gateway_for(server, retry_budget=2)
             with pytest.raises(LlmUnavailable):
-                gw.chat(make_request("always down"))
+                gw.complete("always down")
             metrics = gw.metrics_snapshot()
         assert metrics["max_retries_single_request"] == 2
 
@@ -268,16 +253,16 @@ class TestScriptedServer:
         ]
         with ScriptedLlmServer(fixtures=fixtures) as server:
             gw = gateway_for(server)
-            assert gw.chat(make_request("target A")).content == "fine"
+            assert gw.complete("target A") == "fine"
             assert gw.metrics_snapshot()["retries"] == 1
-            assert gw.chat(make_request("target B")).content == "fine"
+            assert gw.complete("target B") == "fine"
 
     def test_concurrency_bound_enforced(self):
         fixtures = [{"pattern": ".", "response": "ok"}]
         with ScriptedLlmServer(fixtures=fixtures, latency_base_ms=15) as server:
             gw = gateway_for(server, max_in_flight=8)
             threads = [
-                threading.Thread(target=lambda i=i: gw.chat(make_request(f"req {i}")))
+                threading.Thread(target=lambda i=i: gw.complete(f"req {i}"))
                 for i in range(64)
             ]
             for t in threads:
@@ -298,7 +283,7 @@ class TestScriptedServer:
         def run_stream():
             with ScriptedLlmServer(fixtures=[dict(f) for f in fixtures]) as server:
                 gw = gateway_for(server)
-                return [gw.chat(make_request(c)).content for c in stream]
+                return [gw.complete(c) for c in stream]
 
         assert run_stream() == run_stream()
 
@@ -306,7 +291,7 @@ class TestScriptedServer:
         fixtures = [{"pattern": "s", "responses": ["a", "b"]}]
         with ScriptedLlmServer(fixtures=fixtures) as server:
             gw = gateway_for(server)
-            got = [gw.chat(make_request("s")).content for _ in range(4)]
+            got = [gw.complete("s") for _ in range(4)]
         assert got == ["a", "b", "b", "b"]
 
 
@@ -317,7 +302,7 @@ class TestTransport:
         connections = ConnectionLog(monkeypatch)
         with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
             gw = gateway_for(server)
-            got = [gw.chat(make_request(f"call {i}")).content for i in range(5)]
+            got = [gw.complete(f"call {i}") for i in range(5)]
         assert got == [f"call {i}" for i in range(5)]
         assert gw.metrics_snapshot()["retries"] == 0
         assert connections.accepted == 5
@@ -337,7 +322,7 @@ class TestTransport:
             gw = gateway_for(server)
             got = []
             for i in range(5):
-                got.append(gw.chat(make_request(f"call {i}")).content)
+                got.append(gw.complete(f"call {i}"))
                 assert connections.wait_all_ended()  # the pooled socket is now dead
         assert got == [f"call {i}" for i in range(5)]
         metrics = gw.metrics_snapshot()
@@ -356,7 +341,7 @@ class TestTransport:
         with ScriptedLlmServer(fixtures=[]) as server:
             gw = gateway_for(server, retry_budget=2)
             with pytest.raises(LlmUnavailable, match="transport error"):
-                gw.chat(make_request("dropped"))
+                gw.complete("dropped")
         assert gw.metrics_snapshot()["max_retries_single_request"] == 2
         assert connections.accepted == 3
 
@@ -370,15 +355,15 @@ class TestTransport:
 
         monkeypatch.setattr(scripted_server._Handler, "do_POST", recording_post)
         with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
-            gateway_for(server, api_key="sk-test").chat(make_request("one"))
-            gateway_for(server).chat(make_request("two"))
+            gateway_for(server, api_key="sk-test").complete("one")
+            gateway_for(server).complete("two")
         assert seen == ["Bearer sk-test", None]
 
     def test_refused_port_is_unavailable_after_the_budget(self):
         gw = LlmGateway(GatewayConfig(endpoint_url=closed_port_url(), retry_budget=2,
                                       backoff_base_ms=1))
         with pytest.raises(LlmUnavailable, match="after 2 retries"):
-            gw.chat(make_request("anyone there"))
+            gw.complete("anyone there")
         metrics = gw.metrics_snapshot()
         assert metrics["retries"] == 2 and metrics["max_retries_single_request"] == 2
 
@@ -400,8 +385,7 @@ class TestTransport:
                 gw = gateway_for(server, max_in_flight=4)
 
                 def worker(i):
-                    replies[i] = [gw.chat(make_request(f"req {i}.{k}")).content
-                                  for k in range(10)]
+                    replies[i] = [gw.complete(f"req {i}.{k}") for k in range(10)]
 
                 threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
                 for t in threads:
@@ -415,7 +399,7 @@ class TestTransport:
                 gw.close()
                 assert connections.wait_all_ended()
                 # a call after close opens a new connection
-                assert gw.chat(make_request("again")).content == "again"
+                assert gw.complete("again") == "again"
         finally:
             sys.setswitchinterval(interval)
 
@@ -428,9 +412,9 @@ class TestTransport:
             for i, want in enumerate(expected):
                 if want is LlmUnavailable:
                     with pytest.raises(LlmUnavailable, match="transport error"):
-                        gw.chat(make_request(f"call {i}"))
+                        gw.complete(f"call {i}")
                 else:
-                    assert gw.chat(make_request(f"call {i}")).content == want
+                    assert gw.complete(f"call {i}") == want
             gw.close()
         assert server.accepted == len(script)  # no more connections than scripted
         assert server.leftover == b""  # no request on a connection that had ended
@@ -439,6 +423,22 @@ class TestTransport:
         assert server.heads[0].startswith(
             b"POST /v1/chat/completions HTTP/1.1\r\nHost: 127.0.0.1:" + port
             + b"\r\nAccept-Encoding: identity\r\n")
+
+    def test_complete_sends_one_user_message_and_a_seed_only_when_given(self):
+        replies = [with_length(completion("one")), with_length(completion("two"))]
+        with RawServer([replies]) as server:
+            gw = LlmGateway(GatewayConfig(endpoint_url=server.url, model="m-7",
+                                          temperature=0.5, max_tokens=64, timeout_s=5))
+            assert gw.complete("first prompt", seed=0) == "one"
+            assert gw.complete("second prompt", stage="verify") == "two"
+            gw.close()
+        sent = [json.loads(body) for body in server.bodies]
+        assert sent == [
+            {"model": "m-7", "messages": [{"role": "user", "content": "first prompt"}],
+             "temperature": 0.5, "max_tokens": 64, "seed": 0},
+            {"model": "m-7", "messages": [{"role": "user", "content": "second prompt"}],
+             "temperature": 0.5, "max_tokens": 64},
+        ]
 
     @pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
     def test_https_endpoint_is_verified(self, tmp_path, monkeypatch):
@@ -457,13 +457,13 @@ class TestTransport:
             url = server.url.replace("http://", "https://")
             untrusted = LlmGateway(GatewayConfig(endpoint_url=url, retry_budget=0))
             with pytest.raises(LlmUnavailable, match="CERTIFICATE_VERIFY_FAILED"):
-                untrusted.chat(make_request("who are you"))
+                untrusted.complete("who are you")
             system_default = ssl.create_default_context
             monkeypatch.setattr(ssl, "create_default_context",
                                 lambda: system_default(cafile=str(cert)))
             trusted = LlmGateway(GatewayConfig(endpoint_url=url, retry_budget=0))
             try:
-                assert trusted.chat(make_request("over tls")).content == "over tls"
+                assert trusted.complete("over tls") == "over tls"
             finally:
                 trusted.close()
 
@@ -473,7 +473,7 @@ class TestTransport:
             gw = LlmGateway(GatewayConfig(endpoint_url=server.url, retry_budget=2,
                                           backoff_base_ms=20))
             with pytest.raises(LlmUnavailable):
-                gw.chat(make_request("down"), stage="verify")
+                gw.complete("down", stage="verify")
             gw.close()
         bucket = gw.metrics_snapshot()["stages"]["verify"]
         assert set(bucket) == {"calls", "prompt_tokens", "completion_tokens", "latency_ms"}

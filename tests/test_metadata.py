@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convogen.errors import DegenerateBox, DimensionConflict, MismatchedImage
+from convogen.errors import DegenerateBox, DimensionConflict
 from convogen.metadata import (
     BoxAnnotation,
     CaptionAnnotation,
@@ -83,12 +83,6 @@ class TestMergeBundles:
     def test_idempotent(self):
         a = make_bundle(captions=["one"], boxes=[make_box()], qas=[("q?", "a")])
         assert canonical(merge_bundles(a, a)) == canonical(a)
-
-    def test_mismatched_image(self):
-        a = make_bundle(make_image(uri="x/a.jpg"))
-        b = make_bundle(make_image(uri="x/b.jpg"))
-        with pytest.raises(MismatchedImage):
-            merge_bundles(a, b)
 
     def test_dimension_conflict_beyond_one_pixel(self):
         a = make_bundle(make_image(width=640))

@@ -453,8 +453,7 @@ class TestWorkerPool:
     def test_a_run_slower_than_the_staleness_window_keeps_its_claim(self, tmp_path, monkeypatch):
         # the first image runs for three staleness windows while another
         # worker tries the shard: only the committer's refresh keeps it live
-        cfg = scripted_config(tmp_path, n=2, parallelism=1, heartbeat_s=0.05,
-                              claim_staleness_s=0.25)
+        cfg = scripted_config(tmp_path, n=2, parallelism=1, claim_staleness_s=0.25)
         shard_path = Path(cfg.shard_dir) / "shard_00000.json"
         running, tried, outcome = threading.Event(), threading.Event(), []
 
@@ -499,7 +498,7 @@ class TestWorkerPool:
 
     def test_a_failing_shard_set_up_releases_every_claim(self, tmp_path, capsys, monkeypatch):
         # shard 0 is in flight when recovering shard 1 finds a damaged line
-        cfg = scripted_config(tmp_path, n=6, shards=2, heartbeat_s=0.01,
+        cfg = scripted_config(tmp_path, n=6, shards=2, claim_staleness_s=0.1,
                               scripted_latency_base_ms=5.0)
         real_claim, claims, strays = pipeline.claim_shard, [], []
         before = set(threading.enumerate())

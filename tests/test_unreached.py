@@ -14,7 +14,6 @@ ALLOWED = {
     "cli:_cmd_tree.warn": "only on an ingest warning of the rendered record",
     "ingestion:_spill_run": "only past run_size, 50 000 records; tested with a small run_size",
     "ingestion:_read_run": "only past run_size, 50 000 records; tested with a small run_size",
-    "metadata:default_image_key": "merge_bundles' default key, which group_by_image overrides",
     "pipeline:validate_conversation_record": "perfbench's output check calls it",
     "rle:decode": "perfbench patches it and clears its cache; it moves with ROADMAP item 1",
     "scripted_server:_prog_echo_last_user": "reached by run --scripted-fixtures",
