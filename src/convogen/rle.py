@@ -6,15 +6,18 @@ to ``w * h``, so grid dimensions are always checkable.
 
 Areas, intersections and unions are computed on the runs themselves, as
 sorted foreground intervals in flat (row-major) index space held in
-tuples of ints; no ``height x width`` grid is built for them.
+tuples of ints; no ``height x width`` grid is built for them. Each parsed
+mask also keeps its pixel extent, so a caller can rule a pair out by
+extent before it walks any runs, as pycocotools' ``rleIou`` does by box.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain
-from typing import Iterable, NamedTuple
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import lt, mod, sub
+from typing import Iterable, NamedTuple, Sequence
 
 
 def _parse(rle: str) -> tuple[int, int, list[int]]:
@@ -26,8 +29,8 @@ def _parse(rle: str) -> tuple[int, int, list[int]]:
         width, height = int(w_str), int(h_str)
     except ValueError as exc:
         raise ValueError(f"bad RLE header {header!r}") from exc
-    runs = [int(tok) for tok in body.split()]
-    if any(r < 0 for r in runs):
+    runs = list(map(int, body.split()))
+    if runs and min(runs) < 0:
         raise ValueError("negative run length")
     if sum(runs) != width * height:
         raise ValueError(
@@ -38,19 +41,25 @@ def _parse(rle: str) -> tuple[int, int, list[int]]:
 
 class Intervals(NamedTuple):
     """Foreground of one mask as sorted, disjoint, non-touching half-open
-    intervals ``[starts[k], ends[k])`` of flat pixel indices, and ``area``,
-    the mask's foreground pixel count."""
+    intervals ``[starts[k], ends[k])`` of flat pixel indices; ``area``, the
+    mask's foreground pixel count; and its pixel extent ``[x0, x1) x [y0, y1)``,
+    the smallest box that holds every foreground pixel (all zeros when the
+    mask is empty)."""
 
     width: int
     height: int
     starts: tuple[int, ...]
     ends: tuple[int, ...]
     area: int
+    x0: int
+    y0: int
+    x1: int
+    y1: int
 
 
 @lru_cache(maxsize=1024)
 def intervals(rle: str) -> Intervals:
-    """Parse a mask once into its foreground intervals.
+    """Parse a mask once into its foreground intervals and pixel extent.
 
     Results are cached; they are tuples, so they cannot be mutated.
     Zero-length runs, a leading foreground run and a trailing background
@@ -59,21 +68,41 @@ def intervals(rle: str) -> Intervals:
     """
     width, height, runs = _parse(rle)
     edges = list(accumulate(runs, initial=0))
-    starts: list[int] = []
-    ends: list[int] = []
-    for start, end in zip(edges[1::2], edges[2::2]):  # the foreground runs
-        if start == end:
-            continue
-        if ends and ends[-1] == start:  # only a zero-length background run between
-            ends[-1] = end
-        else:
-            starts.append(start)
-            ends.append(end)
-    area = sum(end - start for start, end in zip(starts, ends))
-    return Intervals(width, height, tuple(starts), tuple(ends), area)
+    count = len(runs)
+    starts = edges[1:count:2]  # the foreground runs
+    ends = edges[2:count + 1:2]
+    if 0 in runs[1:]:  # an empty foreground run, or an empty background run between two
+        joined_starts: list[int] = []
+        joined_ends: list[int] = []
+        for start, end in zip(starts, ends):
+            if start == end:
+                continue
+            if joined_ends and joined_ends[-1] == start:
+                joined_ends[-1] = end
+            else:
+                joined_starts.append(start)
+                joined_ends.append(end)
+        starts, ends = joined_starts, joined_ends
+    if not starts:
+        return Intervals(width, height, (), (), 0, 0, 0, 0, 0)
+    area = sum(ends) - sum(starts)
+    # the extent's columns by C-level maps, not a Python loop per interval
+    start_cols = list(map(mod, starts, repeat(width)))
+    end_cols = list(map(mod, ends, repeat(width)))  # 0: the interval ends its row
+    row_ends = end_cols.count(0)
+    # an interval within one row spans (end column or width) - start column
+    # pixels; one that crosses a row boundary spans more, and covers the last
+    # and the first column, so the extent is then the full width
+    if area == sum(end_cols) + width * row_ends - sum(start_cols):
+        x0, x1 = min(start_cols), width if row_ends else max(end_cols)
+    else:
+        x0, x1 = 0, width
+    return Intervals(width, height, tuple(starts), tuple(ends), area,
+                     x0, starts[0] // width, x1, (ends[-1] - 1) // width + 1)
 
 
-def _same_grid(a: Intervals, b: Intervals) -> None:
+def same_grid(a: Intervals, b: Intervals) -> None:
+    """Raise ``ValueError`` unless both masks lie on one grid."""
     if (a.width, a.height) != (b.width, b.height):
         raise ValueError(
             f"masks come from different grids: {a.width}x{a.height} and {b.width}x{b.height}"
@@ -87,8 +116,12 @@ def foreground_area(rle: str) -> int:
 
 def intersection_area(a: str, b: str) -> int:
     """Pixels in the foreground of both masks; ``ValueError`` across grids."""
-    ia, ib = intervals(a), intervals(b)
-    _same_grid(ia, ib)
+    return overlap(intervals(a), intervals(b))
+
+
+def overlap(ia: Intervals, ib: Intervals) -> int:
+    """``intersection_area`` of two parsed masks."""
+    same_grid(ia, ib)
     if not ia.ends or not ib.ends:
         return 0
     lo = max(ia.starts[0], ib.starts[0])
@@ -116,36 +149,42 @@ def intersection_area(a: str, b: str) -> int:
     return total
 
 
-def union(rles: list[str]) -> str:
-    """Canonical encoding of the masks' union: no zero-length run but a
-    leading background run of 0, and no trailing background run of 0.
-
-    Raises ``ValueError`` when the masks come from different grids.
-    """
-    parsed = [intervals(r) for r in rles]
+def union(parsed: Sequence[Intervals]) -> Intervals:
+    """The masks' union; ``ValueError`` when they come from different grids."""
     for iv in parsed[1:]:
-        _same_grid(parsed[0], iv)
-    starts: list[int] = []
-    ends: list[int] = []
-    for start, end in sorted(chain.from_iterable(zip(iv.starts, iv.ends) for iv in parsed)):
-        if ends and start <= ends[-1]:  # overlaps or touches the last one: merge
-            ends[-1] = max(ends[-1], end)
-        else:
-            starts.append(start)
-            ends.append(end)
-    return _emit(parsed[0].width, parsed[0].height, starts, ends)
+        same_grid(parsed[0], iv)
+    present = [iv for iv in parsed if iv.starts]
+    if not present:
+        return parsed[0]
+    # with starts and ends sorted apart, the union has a gap after the k-th
+    # end exactly where it comes before the (k+1)-th start
+    starts = sorted(chain.from_iterable(iv.starts for iv in present))
+    ends = sorted(chain.from_iterable(iv.ends for iv in present))
+    gaps = list(map(lt, ends, islice(starts, 1, None)))
+    starts = (starts[0], *compress(islice(starts, 1, None), gaps))
+    ends = (*compress(ends, gaps), ends[-1])
+    return Intervals(
+        parsed[0].width, parsed[0].height, starts, ends, sum(ends) - sum(starts),
+        min(iv.x0 for iv in present), min(iv.y0 for iv in present),
+        max(iv.x1 for iv in present), max(iv.y1 for iv in present),
+    )
+
+
+def encode(iv: Intervals) -> str:
+    """Canonical encoding of parsed intervals: no zero-length run but a
+    leading background run of 0, and no trailing background run of 0."""
+    return _emit(iv.width, iv.height, iv.starts, iv.ends)
 
 
 def _emit(width: int, height: int, starts: Iterable[int], ends: Iterable[int]) -> str:
     """Encode sorted, disjoint, non-touching foreground intervals."""
-    runs: list[int] = []
-    pos = 0
-    for start, end in zip(starts, ends):
-        runs += (start - pos, end - start)
-        pos = end
-    if width * height > pos:
-        runs.append(width * height - pos)
-    return f"{width}x{height}:" + " ".join(map(str, runs))
+    starts, ends = tuple(starts), tuple(ends)
+    gaps = map(sub, starts, chain((0,), ends))  # background before each interval
+    runs = list(chain.from_iterable(zip(gaps, map(sub, ends, starts))))
+    tail = width * height - (ends[-1] if ends else 0)
+    if tail:
+        runs.append(tail)
+    return f"{width}x{height}:" + " ".join(["%d"] * len(runs)) % tuple(runs)
 
 
 @lru_cache(maxsize=1024)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import rle
@@ -46,6 +46,7 @@ _PLURAL_TO_SINGULAR = (
 )
 
 
+@lru_cache(maxsize=1024)
 def normalize_label(label: str) -> str:
     """Lowercase, collapse whitespace, singularize the final word."""
     words = label.lower().split()
@@ -84,28 +85,22 @@ class SceneRegion:
     attributes: tuple[str, ...] = ()
     members: int = 1
     area: float = 0.0           # derived when left at 0: mask area, else bbox area
+    # mask_rle parsed; derived when left out, given by a merge that built it
+    mask: Optional[rle.Intervals] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bbox", tuple(float(v) for v in self.bbox))
+        object.__setattr__(self, "bbox", tuple(map(float, self.bbox)))
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        _, _, w, h = self.bbox
+        if self.mask_rle and self.mask is None:
+            object.__setattr__(self, "mask", rle.intervals(self.mask_rle))
         if self.area <= 0:
-            area = float(rle.foreground_area(self.mask_rle)) if self.mask_rle else w * h
+            _, _, w, h = self.bbox
+            area = float(self.mask.area) if self.mask_rle else w * h
             object.__setattr__(self, "area", area)
         if self.area <= 0:
             raise ValueError(f"region {self.label!r} has zero area")
         if self.members < 1:
             raise ValueError("members must be >= 1")
-
-    @cached_property  # read in every overlap test, so derived once
-    def center(self) -> tuple[float, float]:
-        x, y, w, h = self.bbox
-        return (x + w / 2.0, y + h / 2.0)
-
-    @property
-    def diagonal(self) -> float:
-        _, _, w, h = self.bbox
-        return math.hypot(w, h)
 
 
 def region_from_box(box: BoxAnnotation, image: ImageRef) -> SceneRegion:
@@ -134,6 +129,15 @@ def _bbox_intersection(a: Bbox, b: Bbox) -> float:
     return max(iw, 0.0) * max(ih, 0.0)
 
 
+def _center_dist(a: SceneRegion, b: SceneRegion) -> float:
+    """Distance of the bbox centers over the mean bbox diagonal."""
+    ax, ay, aw, ah = a.bbox
+    bx, by, bw, bh = b.bbox
+    dist = math.hypot((ax + aw / 2.0) - (bx + bw / 2.0), (ay + ah / 2.0) - (by + bh / 2.0))
+    mean_diag = (math.hypot(aw, ah) + math.hypot(bw, bh)) / 2.0
+    return dist / mean_diag if mean_diag > 0 else 0.0
+
+
 def overlap_stats(a: SceneRegion, b: SceneRegion) -> OverlapStats:
     """Pairwise overlap; mask-based when both regions carry masks."""
     if a.mask_rle and b.mask_rle:
@@ -148,10 +152,7 @@ def overlap_stats(a: SceneRegion, b: SceneRegion) -> OverlapStats:
     union = area_a + area_b - inter
     iou = inter / union if union > 0 else 0.0
     containment = inter / area_a if area_a > 0 else 0.0
-    dist = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
-    mean_diag = (a.diagonal + b.diagonal) / 2.0
-    center_dist = dist / mean_diag if mean_diag > 0 else 0.0
-    return OverlapStats(iou=iou, containment=containment, center_dist_norm=center_dist)
+    return OverlapStats(iou=iou, containment=containment, center_dist_norm=_center_dist(a, b))
 
 
 def region_sort_key(r: SceneRegion):
@@ -189,16 +190,20 @@ class _UnionFind:
 
 
 def _mergeable(a: SceneRegion, b: SceneRegion, p: SceneTreeParams) -> bool:
-    if a.label != b.label:
-        return False
+    """Same-label pair: the depth gate, then the center-distance gate, then
+    the mask or box IoU. Masks on different grids raise before any gate
+    that reads only boxes could skip the pair."""
     if (
         a.depth_mean is not None
         and b.depth_mean is not None
         and abs(a.depth_mean - b.depth_mean) > p.depth_tolerance
     ):
         return False
-    stats = overlap_stats(a, b)
-    return stats.iou >= p.t_m and stats.center_dist_norm <= p.t_s
+    if a.mask_rle and b.mask_rle:
+        rle.same_grid(a.mask, b.mask)
+    if _center_dist(a, b) > p.t_s:
+        return False
+    return overlap_stats(a, b).iou >= p.t_m
 
 
 def _union_bbox(regions: list[SceneRegion]) -> tuple[float, float, float, float]:
@@ -222,14 +227,15 @@ def _merge_component(regions: list[SceneRegion]) -> SceneRegion:
         return regions[0]
     mask = None
     if all(r.mask_rle for r in regions):
-        mask = rle.union([r.mask_rle for r in regions])
+        mask = rle.union([r.mask for r in regions])
     return SceneRegion(
         label=regions[0].label,
         bbox=_union_bbox(regions),
-        mask_rle=mask,
+        mask_rle=rle.encode(mask) if mask else None,
         depth_mean=_member_weighted_depth(regions),
         attributes=tuple(sorted({a for r in regions for a in r.attributes})),
         members=sum(r.members for r in regions),
+        mask=mask,
     )
 
 
@@ -238,13 +244,18 @@ def merge_duplicates(regions: list[SceneRegion], p: SceneTreeParams) -> list[Sce
 
     Merging runs on the transitive closure, so the partition does not depend
     on input order. Regions at clearly different depths are never merged.
+    Only regions of one label are ever paired.
     """
     ordered = sorted(regions, key=region_sort_key)
+    by_label: dict[str, list[int]] = {}
+    for i, region in enumerate(ordered):
+        by_label.setdefault(region.label, []).append(i)
     uf = _UnionFind(len(ordered))
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            if _mergeable(ordered[i], ordered[j], p):
-                uf.union(i, j)
+    for bucket in by_label.values():
+        for k, i in enumerate(bucket):
+            for j in bucket[k + 1:]:
+                if _mergeable(ordered[i], ordered[j], p):
+                    uf.union(i, j)
     components: dict[int, list[SceneRegion]] = {}
     for i, region in enumerate(ordered):
         components.setdefault(uf.find(i), []).append(region)
@@ -266,23 +277,51 @@ class SceneTree:
     roots: list[TreeNode] = field(default_factory=list)
 
 
+def _contains(outer: SceneRegion, inner: SceneRegion, t_c: float) -> bool:
+    """``overlap_stats(inner, outer).containment >= t_c``, by the same float
+    expressions. Two masks whose pixel extents overlap too little for the
+    ratio to reach t_c are decided without walking runs: |a ∩ b| is at most
+    the extent overlap, and dividing both by one area keeps that order."""
+    a, b = inner.mask, outer.mask
+    if a and b:
+        # an empty mask's extent is all zeros, so it overlaps no extent
+        iw = (a.x1 if a.x1 < b.x1 else b.x1) - (a.x0 if a.x0 > b.x0 else b.x0)
+        if iw <= 0:
+            return False
+        ih = (a.y1 if a.y1 < b.y1 else b.y1) - (a.y0 if a.y0 > b.y0 else b.y0)
+        if ih <= 0 or float(iw * ih) / a.area < t_c:
+            return False
+        return float(rle.overlap(a, b)) / a.area >= t_c
+    x, y, w, h = inner.bbox
+    ox, oy, ow, oh = outer.bbox
+    iw = min(x + w, ox + ow) - max(x, ox)
+    ih = min(y + h, oy + oh) - max(y, oy)
+    return w * h > 0 and max(iw, 0.0) * max(ih, 0.0) / (w * h) >= t_c
+
+
 def build_tree(regions: list[SceneRegion], p: SceneTreeParams) -> SceneTree:
     """Place regions in descending-area order under their smallest container.
 
     A region becomes a child of the already-placed region with the smallest
     area whose containment ratio is >= t_c (earliest placed wins area ties),
-    otherwise a root.
+    otherwise a root. Masks on different grids raise ``ValueError``.
     """
     ordered = sorted(regions, key=region_sort_key)
+    masks = [r.mask for r in ordered if r.mask_rle]
+    for mask in masks[1:]:
+        rle.same_grid(masks[0], mask)
     placed: list[TreeNode] = []
     roots: list[TreeNode] = []
     for region in ordered:
         node = TreeNode(region=region)
         parent: Optional[TreeNode] = None
-        for candidate in placed:
-            if overlap_stats(region, candidate.region).containment >= p.t_c:
-                if parent is None or candidate.region.area < parent.region.area:
-                    parent = candidate
+        # latest placed first: areas only grow, so the first container found
+        # is the smallest, and earlier ones of the same area win the tie
+        for candidate in reversed(placed):
+            if parent is not None and candidate.region.area > parent.region.area:
+                break
+            if _contains(candidate.region, region, p.t_c):
+                parent = candidate
         (parent.children if parent else roots).append(node)
         placed.append(node)
     return SceneTree(roots=roots)
@@ -309,7 +348,8 @@ def _sibling_key(node: TreeNode):
 
 def _group_siblings(nodes: list[TreeNode], p: SceneTreeParams) -> list[TreeNode]:
     for node in nodes:
-        node.children = _group_siblings(node.children, p)
+        if node.children:
+            node.children = _group_siblings(node.children, p)
     buckets: dict[str, list[TreeNode]] = {}
     for node in nodes:
         buckets.setdefault(node.region.label, []).append(node)
@@ -351,18 +391,19 @@ def group_and_count(tree: SceneTree, p: SceneTreeParams) -> SceneTree:
 
 def _format_region(node: TreeNode, image: ImageRef) -> str:
     r = node.region
+    x, y, w, h = r.bbox
     # printed coordinates stay inside the image grid regardless of rounding
-    cx = min(max(int(round(r.center[0])), 0), image.width)
-    cy = min(max(int(round(r.center[1])), 0), image.height)
+    cx = min(max(round(x + w / 2.0), 0), image.width)
+    cy = min(max(round(y + h / 2.0), 0), image.height)
     attrs = f" [{', '.join(r.attributes)}]" if r.attributes else ""
     depth = f" depth={r.depth_mean:.2f}" if r.depth_mean is not None else ""
     if node.is_group:
         aw, ah = node.avg_size
         head = f"{node.count_label} {pluralize(r.label)}"
-        size = f"avg_size={int(round(aw))}x{int(round(ah))}"
+        size = f"avg_size={round(aw)}x{round(ah)}"
     else:
         head = r.label
-        size = f"size={int(round(r.bbox[2]))}x{int(round(r.bbox[3]))}"
+        size = f"size={round(w)}x{round(h)}"
     return f"{head}{attrs} center=({cx},{cy}) {size}{depth}"
 
 

@@ -52,6 +52,10 @@ def test_round_trip_random(width, height, seed):
 
 # ------------------------------------------------- interval arithmetic
 
+def union_of(masks: list[str]) -> str:
+    return rle.encode(rle.union([rle.intervals(m) for m in masks]))
+
+
 grids = st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
 
 
@@ -79,7 +83,26 @@ def test_intersection_and_area_match_decode_oracle(masks):
 @given(mask_sets() | wide_mask_sets())
 def test_union_is_byte_identical_to_encode(masks):
     union = np.logical_or.reduce([rle.decode(m) for m in masks])
-    assert rle.union(masks) == encode(union)
+    assert union_of(masks) == encode(union)
+    merged = rle.union([rle.intervals(m) for m in masks])
+    assert merged == rle.intervals(rle.encode(merged))  # area and extent as if parsed
+
+
+@given(mask_sets() | wide_mask_sets())
+def test_extent_is_the_bounding_box_of_the_pixels(masks):
+    for mask in masks:
+        iv = rle.intervals(mask)
+        ys, xs = np.nonzero(rle.decode(mask))
+        if len(xs):
+            expected = (xs.min(), ys.min(), xs.max() + 1, ys.max() + 1)
+        else:
+            expected = (0, 0, 0, 0)
+        assert (iv.x0, iv.y0, iv.x1, iv.y1) == tuple(int(v) for v in expected)
+
+
+def test_a_run_across_a_row_boundary_spans_the_full_width():
+    iv = rle.intervals("10x4:17 6 17")  # row 1 from column 7 to row 2, column 2
+    assert (iv.x0, iv.y0, iv.x1, iv.y1) == (0, 1, 10, 3)
 
 
 @pytest.mark.parametrize(
@@ -94,7 +117,7 @@ def test_union_is_byte_identical_to_encode(masks):
     ],
 )
 def test_union_of_one_mask_is_canonical(mask, canonical):
-    assert rle.union([mask]) == canonical == encode(rle.decode(mask))
+    assert union_of([mask]) == canonical == encode(rle.decode(mask))
 
 
 def test_all_background_and_all_foreground_intervals():
@@ -103,15 +126,15 @@ def test_all_background_and_all_foreground_intervals():
     assert rle.foreground_area(full) == 12
     assert rle.intersection_area(empty, full) == 0
     assert rle.intersection_area(full, full) == 12
-    assert rle.union([empty, empty]) == empty
-    assert rle.union([empty, full]) == full
+    assert union_of([empty, empty]) == empty
+    assert union_of([empty, full]) == full
 
 
 def test_disjoint_extents_intersect_in_nothing():
     top = rle.from_bbox((0, 0, 4, 1), 4, 4)
     bottom = rle.from_bbox((0, 3, 4, 1), 4, 4)
     assert rle.intersection_area(top, bottom) == 0
-    assert rle.union([bottom, top]) == "4x4:0 4 8 4"
+    assert union_of([bottom, top]) == "4x4:0 4 8 4"
 
 
 def test_different_grids_raise():
@@ -119,7 +142,7 @@ def test_different_grids_raise():
     with pytest.raises(ValueError):
         rle.intersection_area(a, b)
     with pytest.raises(ValueError):
-        rle.union([a, b])
+        union_of([a, b])
 
 
 def test_intervals_are_read_only():

@@ -57,6 +57,15 @@ def depth(tree) -> int:
 
 # ---------------------------------------------------------------- oracles
 
+def center(r: SceneRegion):
+    x, y, w, h = r.bbox
+    return (x + w / 2.0, y + h / 2.0)
+
+
+def diagonal(r: SceneRegion):
+    return math.hypot(r.bbox[2], r.bbox[3])
+
+
 def oracle_rect_stats(a: SceneRegion, b: SceneRegion):
     ax, ay, aw, ah = a.bbox
     bx, by, bw, bh = b.bbox
@@ -66,7 +75,7 @@ def oracle_rect_stats(a: SceneRegion, b: SceneRegion):
     union = aw * ah + bw * bh - inter
     iou = inter / union if union else 0.0
     containment = inter / (aw * ah)
-    dist = math.dist(a.center, b.center)
+    dist = math.dist(center(a), center(b))
     diag = (math.hypot(aw, ah) + math.hypot(bw, bh)) / 2
     return iou, containment, dist / diag
 
@@ -84,8 +93,8 @@ def oracle_mask_stats_pixel_loop(a: SceneRegion, b: SceneRegion):
     union = area_a + area_b - inter
     iou = inter / union if union else 0.0
     containment = inter / area_a if area_a else 0.0
-    dist = math.dist(a.center, b.center)
-    diag = (a.diagonal + b.diagonal) / 2
+    dist = math.dist(center(a), center(b))
+    diag = (diagonal(a) + diagonal(b)) / 2
     return iou, containment, dist / diag
 
 
@@ -98,8 +107,8 @@ def oracle_stats(a: SceneRegion, b: SceneRegion):
         union = area_a + area_b - inter
         iou = inter / union if union else 0.0
         containment = inter / area_a if area_a else 0.0
-        dist = math.dist(a.center, b.center)
-        diag = (a.diagonal + b.diagonal) / 2
+        dist = math.dist(center(a), center(b))
+        diag = (diagonal(a) + diagonal(b)) / 2
         return iou, containment, dist / diag
     return oracle_rect_stats(a, b)
 
@@ -297,6 +306,120 @@ class TestMaskIntervals:
             overlap_stats(a, b)
         with pytest.raises(ValueError):
             _merge_component([a, b])
+
+
+@st.composite
+def row_crossing_masks(draw, width: int, height: int) -> str:
+    """One foreground run longer than a row, so it crosses a row boundary
+    and its extent spans the full width."""
+    size = width * height
+    start = draw(st.integers(0, size - width - 1))
+    end = draw(st.integers(start + width + 1, size))
+    return f"{width}x{height}:{start} {end - start} {size - end}"
+
+
+@st.composite
+def scenes(draw, max_regions=7):
+    """Regions on one grid and params to judge them by: masked and unmasked,
+    masks anywhere relative to their boxes (rectangles, runs that cross rows,
+    any runs), two labels and near depths, and copies one pixel off, so
+    merges and containment ties happen. Each region's one attribute is its
+    input index, so a merged region names its members."""
+    width = draw(st.integers(min_value=2, max_value=12))
+    height = draw(st.integers(min_value=2, max_value=12))
+    mask_kinds = [masks_on(width, height), row_crossing_masks(width, height)]
+    rects: list[tuple[int, int, int, int]] = []  # rectangle masks as (x0, y0, x1, y1)
+    regions: list[SceneRegion] = []
+    for i in range(draw(st.integers(min_value=1, max_value=max_regions))):
+        if regions and draw(st.integers(0, 3)) == 0:  # a near copy of an earlier region
+            like = draw(st.sampled_from(regions))
+            x, y, w, h = like.bbox
+            dx, dy = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+            regions.append(region(like.label, (x + dx, y + dy, w, h), mask=like.mask_rle,
+                                  depth=like.depth_mean, attrs=(f"r{i}",)))
+            continue
+        x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        w, h = draw(st.integers(1, width)), draw(st.integers(1, height))
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            mask = None
+        elif kind == 1:  # a rectangle, often inside an earlier one
+            if rects and draw(st.booleans()):
+                x0, y0, x1, y1 = draw(st.sampled_from(rects))
+            else:
+                x0, y0, x1, y1 = 0, 0, width, height
+            rx0, ry0 = draw(st.integers(x0, x1 - 1)), draw(st.integers(y0, y1 - 1))
+            rx1, ry1 = draw(st.integers(rx0 + 1, x1)), draw(st.integers(ry0 + 1, y1))
+            rects.append((rx0, ry0, rx1, ry1))
+            mask = rle.from_bbox((rx0, ry0, rx1 - rx0, ry1 - ry0), width, height)
+        else:
+            mask = draw(mask_kinds[kind - 2])
+        if mask is not None and rle.foreground_area(mask) == 0:
+            mask = None
+        regions.append(region(
+            draw(st.sampled_from(["a", "b"])), (x, y, w, h), mask=mask,
+            depth=draw(st.sampled_from([None, 0.2, 0.3, 0.9])), attrs=(f"r{i}",),
+        ))
+    params = SceneTreeParams(
+        t_m=draw(st.sampled_from([0.5, 0.9, 1.0])), t_c=draw(st.sampled_from([0.5, 0.8, 1.0]))
+    )
+    return regions, params
+
+
+def assert_parents_match_oracle(regions, p):
+    ordered = sorted(regions, key=region_sort_key)
+    mapping = tree_parent_map(build_tree(regions, p))
+    got = [None if mapping[id(r)] is None else id(mapping[id(r)]) for r in ordered]
+    expected = [None if j is None else id(ordered[j]) for j in oracle_parents(ordered, p)]
+    assert got == expected
+
+
+class TestPairGates:
+    """Merge and placement rule pairs out by label, depth, center distance
+    and pixel extent before they walk runs; none of that may change a result."""
+
+    @given(scenes())
+    def test_partition_and_parents_match_the_oracles(self, scene):
+        regions, p = scene
+        merged = merge_duplicates(regions, p)
+        partition = {frozenset(int(a[1:]) for a in r.attributes) for r in merged}
+        assert partition == oracle_partition(regions, p)
+        assert_parents_match_oracle(regions, p)
+        assert_parents_match_oracle(merged, p)  # merged masks carry the union's extent
+
+    def test_bound_at_exactly_t_c_and_row_crossing_runs_still_place_children(self):
+        outer = region("outer", (0, 0, 10, 4), mask="10x10:0 40 60")  # rows 0-3
+        # 5 pixels in column 2, rows 0-4: the extent overlap is 4 = t_c * 5,
+        # and all 4 pixels lie in outer, so the containment is exactly t_c
+        edge = region("edge", (2, 0, 1, 5), mask=rle.from_bbox((2, 0, 1, 5), 10, 10))
+        # one run from row 1, column 7 to row 2, column 2: its extent is the full width
+        crossing = region("crossing", (0, 1, 10, 2), mask="10x10:17 6 77")
+        assert float(4) / edge.area == P.t_c
+        regions = [edge, crossing, outer]
+        tree = build_tree(regions, P)
+        assert [n.region.label for n in tree.roots] == ["outer"]
+        assert [n.region.label for n in tree.roots[0].children] == ["crossing", "edge"]
+        assert_parents_match_oracle(regions, P)
+
+    def test_masks_on_different_grids_raise_however_far_apart(self):
+        # far-apart boxes and extents: the center gate and the extent bound
+        # alone would skip this pair, so the grids are checked first
+        a = region("m", (0, 0, 2, 2), mask=rle.from_bbox((0, 0, 2, 2), 40, 60))
+        b = region("m", (30, 30, 2, 2), mask=rle.from_bbox((30, 30, 2, 2), 60, 40))
+        with pytest.raises(ValueError, match="different grids"):
+            merge_duplicates([a, b], P)
+        with pytest.raises(ValueError, match="different grids"):
+            build_tree([a, b], P)
+        boxes = [BoxAnnotation("m", r.bbox, mask_rle=r.mask_rle, source="s") for r in (a, b)]
+        with pytest.raises(ValueError, match="different grids"):
+            build_scene_tree(boxes, make_image(width=60, height=60), P)
+        # merge pairs only same-label regions at near depths, as before
+        other_label = region("n", b.bbox, mask=b.mask_rle)
+        far_depth = region("m", b.bbox, mask=b.mask_rle, depth=0.9)
+        for pair in ([a, other_label], [region("m", a.bbox, mask=a.mask_rle, depth=0.1), far_depth]):
+            assert len(merge_duplicates(pair, P)) == 2
+            with pytest.raises(ValueError, match="different grids"):
+                build_tree(pair, P)
 
 
 class TestMergeDuplicates:
