@@ -8,11 +8,13 @@ deterministic exponential backoff. Usage is accounted per pipeline stage.
 The transport is a small HTTP/1.1 client of its own. Head and body go out
 in one ``sendall``; the reader skips 1xx replies, reads chunked and
 ``Content-Length`` bodies (else to the end of the stream) and caps lines
-and fields as ``http.client`` does. ``https`` is verified against the
-system's CA certificates; proxy settings are not read. At most
-``max_in_flight`` keep-alive connections are pooled. A pooled one that the
-server closed while idle is sent once more on a fresh connection, which is
-not a retry (RFC 9112 section 9.3.1); any other failure spends the budget.
+and fields as ``http.client`` does; ``scripted_server`` reads requests
+with the same ``read_line``, ``read_fields`` and ``read_exact``. ``https``
+is verified against the system's CA certificates; proxy settings are not
+read. At most ``max_in_flight`` keep-alive connections are pooled. A
+pooled one that the server closed while idle is sent once more on a fresh
+connection, which is not a retry (RFC 9112 section 9.3.1); any other
+failure spends the budget.
 """
 
 from __future__ import annotations
@@ -110,6 +112,35 @@ def _head(method: str, path: str, tls: bool, host: str, port: Optional[int], *fi
     return "\r\n".join((*lines, *fields, "")).encode("latin-1")
 
 
+def read_line(reader) -> bytes:
+    """One line, its line end included; ``b""`` at the end of the stream."""
+    line = reader.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise WireError(f"line longer than {MAX_LINE} bytes")
+    return line
+
+
+def read_exact(reader, size: int) -> bytes:
+    """``size`` bytes, or a ``WireError`` when the stream ends first."""
+    data = reader.read(size) if size >= 0 else b""
+    if len(data) != size:
+        raise WireError(f"body of {size} bytes ended after {len(data)}")
+    return data
+
+
+def read_fields(reader) -> dict[bytes, bytes]:
+    """Header or trailer fields by lower-case name; repeats join with commas."""
+    fields: dict[bytes, bytes] = {}
+    for _ in range(MAX_FIELDS + 1):
+        line = read_line(reader)
+        if not line.strip():
+            return fields
+        name, _, value = line.partition(b":")
+        name, value = name.strip().lower(), value.strip()
+        fields[name] = fields[name] + b", " + value if name in fields else value
+    raise WireError(f"more than {MAX_FIELDS} fields")
+
+
 class _Connection:
     """One HTTP/1.1 connection: a socket and a buffered reader of its replies."""
 
@@ -125,35 +156,12 @@ class _Connection:
         self.reader.close()
         self.sock.close()
 
-    def _line(self) -> bytes:
-        line = self.reader.readline(MAX_LINE + 1)
-        if len(line) > MAX_LINE:
-            raise WireError(f"line longer than {MAX_LINE} bytes")
-        return line
-
-    def _read(self, size: int) -> bytes:
-        data = self.reader.read(size) if size >= 0 else b""
-        if len(data) != size:
-            raise WireError(f"body of {size} bytes ended after {len(data)}")
-        return data
-
-    def _fields(self) -> dict[bytes, bytes]:
-        """Header or trailer fields by lower-case name; repeats join with commas."""
-        fields: dict[bytes, bytes] = {}
-        for _ in range(MAX_FIELDS + 1):
-            line = self._line()
-            if not line.strip():
-                return fields
-            name, _, value = line.partition(b":")
-            name, value = name.strip().lower(), value.strip()
-            fields[name] = fields[name] + b", " + value if name in fields else value
-        raise WireError(f"more than {MAX_FIELDS} fields")
-
     def exchange(self, request: bytes) -> tuple[int, bytes, bool]:
         """Send a whole request; the final reply's status, body and keep-alive."""
+        reader = self.reader
         try:
             self.sock.sendall(request)
-            line = self._line()
+            line = read_line(reader)
         except (BrokenPipeError, ConnectionResetError) as exc:
             raise StaleConnection(repr(exc)) from exc
         if not line:
@@ -162,24 +170,24 @@ class _Connection:
             version, code = (line.split(None, 2) + [b"", b""])[:2]
             if version not in (b"HTTP/1.1", b"HTTP/1.0") or len(code) != 3 or not code.isdigit():
                 raise WireError(f"bad status line {line[:80]!r}")
-            status, fields = int(code), self._fields()
+            status, fields = int(code), read_fields(reader)
             if status >= 200:
                 break
-            line = self._line()
+            line = read_line(reader)
         keep = version == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
         coding = fields.get(b"transfer-encoding", b"").lower()
         if status in (204, 304):
             return status, b"", keep
         if coding.endswith(b"chunked"):
             chunks = []
-            while chunk := self._read(int(self._line().split(b";", 1)[0], 16)):
+            while chunk := read_exact(reader, int(read_line(reader).split(b";", 1)[0], 16)):
                 chunks.append(chunk)
-                self._line()  # the line end after the chunk
-            self._fields()  # the trailer, dropped
+                read_line(reader)  # the line end after the chunk
+            read_fields(reader)  # the trailer, dropped
             return status, b"".join(chunks), keep
         if coding or b"content-length" not in fields:
-            return status, self.reader.read(), False  # the body ends with the stream
-        return status, self._read(int(fields[b"content-length"])), keep
+            return status, reader.read(), False  # the body ends with the stream
+        return status, read_exact(reader, int(fields[b"content-length"])), keep
 
 
 def backoff_delays_s(base_ms: int, retries: int) -> list[float]:

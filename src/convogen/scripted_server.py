@@ -11,13 +11,15 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import ConfigError
+from .gateway import WireError, read_exact, read_fields, read_line
 from .ingestion import open_input
 
 _NUMBERED = re.compile(r"^\s*(\d+)\.\s+(.*\S)\s*$", re.MULTILINE)
@@ -191,40 +193,91 @@ def default_pipeline_rules() -> list[dict]:
     ]
 
 
-class _Handler(BaseHTTPRequestHandler):
+_REASONS = {status.value: status.phrase.encode("latin-1") for status in HTTPStatus}
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """Keep-alive HTTP/1.1 over the gateway's own message framing.
+
+    Request bodies are framed by ``Content-Length`` only. A request that
+    cannot be framed gets 400, a method other than GET and POST gets 501,
+    and either ends the connection.
+    """
+
     protocol_version = "HTTP/1.1"
-    # headers and body go out in two sends; see ScriptedLlmServer
+    # an interim 100 or a pipelined reply would otherwise wait on a delayed ACK
     disable_nagle_algorithm = True
 
-    def log_message(self, fmt, *args):  # silence stderr chatter
-        pass
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self.handle_one_request()
+        except OSError:
+            pass  # the client hung up; there is no one left to answer
+
+    def handle_one_request(self) -> None:
+        self.close_connection = True  # until the head has been read whole
+        try:
+            line = read_line(self.rfile)
+            if not line:
+                return  # closed between requests
+            parts = line.split()
+            if len(parts) != 3 or parts[2] not in (b"HTTP/1.1", b"HTTP/1.0"):
+                raise WireError(f"bad request line {line[:80]!r}")
+            method, self.path, version = parts
+            self.headers = read_fields(self.rfile)
+            if (b"transfer-encoding" in self.headers
+                    or not self.headers.get(b"content-length", b"0").isdigit()):
+                raise WireError("a request body needs a Content-Length of digits")
+            self.close_connection = (
+                version == b"HTTP/1.0" or self.protocol_version == "HTTP/1.0"
+                or b"close" in self.headers.get(b"connection", b"").lower()
+            )
+            if method == b"GET":
+                self.do_GET()
+            elif method == b"POST":
+                if b"100-continue" in self.headers.get(b"expect", b"").lower():
+                    self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                self.do_POST()
+            else:
+                self.close_connection = True  # its body, if any, is left unread
+                self._send(501, {"error": "unsupported method"})
+        except WireError as exc:
+            self.close_connection = True
+            self._send(400, {"error": str(exc)})
 
     def _send(self, status: int, payload: dict) -> None:
+        """The whole reply in one write."""
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        close = b"Connection: close\r\n" if self.close_connection else b""
+        self.wfile.write(
+            b"%s %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s"
+            % (self.protocol_version.encode("latin-1"), status, _REASONS.get(status, b""),
+               len(body), close, body))
 
     def do_GET(self):
         self._send(200, {"ok": True})
 
     def do_POST(self):
-        owner = self.server.owner
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
-        if self.path != "/v1/chat/completions":
+        raw = read_exact(self.rfile, int(self.headers.get(b"content-length", b"0")))
+        if self.path != b"/v1/chat/completions":
             self._send(404, {"error": "unknown path"})
             return
         try:
             request = json.loads(raw)
             messages = request["messages"]
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, TypeError):
             self._send(400, {"error": "bad request body"})
             return
-        status, payload = owner.respond(request, messages)
+        # looked up per request: a caller may replace ``respond`` on the instance
+        status, payload = self.server.owner.respond(request, messages)
         self._send(status, payload)
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
 
 
 class ScriptedLlmServer:
@@ -232,10 +285,10 @@ class ScriptedLlmServer:
 
     Latency is simulated as ``base_ms + per_char_ms * len(content)``, which
     models a throughput-bound backend where long completions cost more.
-    Accepted connections set ``TCP_NODELAY``: a response is written as two
-    sends (headers, then body) on a keep-alive socket, and without it
-    Nagle's algorithm holds the body back until the client's delayed ACK
-    of the headers, adding about 40 ms to every request on Linux loopback.
+    A reply leaves in one write. Accepted connections still set
+    ``TCP_NODELAY``: after an interim ``100 Continue``, or after the first
+    of two pipelined replies, Nagle's algorithm would hold the reply back
+    until the client's delayed ACK, about 40 ms on Linux loopback.
     """
 
     def __init__(
@@ -246,7 +299,9 @@ class ScriptedLlmServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        self._rules = [_Rule(spec) for spec in (fixtures or [])]
+        # digest rules are tried before pattern rules, each kind in its given order
+        self._rules = sorted((_Rule(spec) for spec in fixtures or []),
+                             key=lambda rule: rule.digest is None)
         self.latency_base_ms = latency_base_ms
         self.latency_per_char_ms = latency_per_char_ms
         self._lock = threading.Lock()
@@ -257,8 +312,7 @@ class ScriptedLlmServer:
             "by_status": {},
             "unmatched": 0,
         }
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host, port), _Handler)
         self._httpd.owner = self
         self._thread: Optional[threading.Thread] = None
 
@@ -276,7 +330,8 @@ class ScriptedLlmServer:
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        if self._thread:  # shutdown() waits for a serve_forever that has run
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread:
             self._thread.join(timeout=5)
@@ -297,11 +352,13 @@ class ScriptedLlmServer:
             }
 
     def respond(self, request: dict, messages: list[dict]) -> tuple[int, dict]:
-        digest = request_digest(messages)
         prompt = "\x1e".join(m.get("content", "") for m in messages)
+        # one message that holds the joined contents has the messages' digest
+        digest = request_digest([{"content": prompt}])
         with self._lock:
             self._in_flight += 1
             self._stats["requests"] += 1
+            number = self._stats["requests"]
             self._stats["high_water_in_flight"] = max(
                 self._stats["high_water_in_flight"], self._in_flight
             )
@@ -318,7 +375,7 @@ class ScriptedLlmServer:
         if status != 200:
             return status, {"error": {"message": f"scripted status {status}", "detail": content}}
         return 200, {
-            "id": f"scripted-{self._stats['requests']}",
+            "id": f"scripted-{number}",
             "object": "chat.completion",
             "model": request.get("model", "scripted"),
             "choices": [
@@ -336,12 +393,7 @@ class ScriptedLlmServer:
         }
 
     def _resolve_locked(self, request: dict, digest: str, prompt: str) -> tuple[int, str]:
-        digest_rules = [r for r in self._rules if r.digest is not None]
-        pattern_rules = [r for r in self._rules if r.digest is None]
-        for rule in digest_rules:
-            if rule.matches(digest, prompt):
-                return rule.resolve(request, prompt)
-        for rule in pattern_rules:
+        for rule in self._rules:
             if rule.matches(digest, prompt):
                 return rule.resolve(request, prompt)
         self._stats["unmatched"] += 1

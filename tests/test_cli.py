@@ -385,10 +385,10 @@ class TestRun:
         assert "4 conversations" in out
 
     def test_run_imports_no_third_party_http_client(self, tmp_path):
-        # the gateway speaks HTTP over the socket module and masks are
-        # intervals on tuples of ints; a fresh interpreter shows what a whole
-        # run imports, with the mask overlap and merge of bbox conversion
-        # taking part
+        # the gateway and the scripted model speak HTTP over the socket
+        # module, and masks are intervals on tuples of ints; a fresh
+        # interpreter shows what a whole scripted run imports, with the mask
+        # overlap and merge of bbox conversion taking part
         manifest = tmp_path / "m.jsonl"
         lines = []
         for i in range(2):
@@ -410,7 +410,8 @@ class TestRun:
             "    real = getattr(rle, name)\n"
             "    setattr(rle, name, lambda *a, real=real, name=name: calls.add(name) or real(*a))\n"
             f"assert main(['run', '--config', {str(config)!r}]) == 0\n"
-            "print(sorted(calls), sorted(m for m in ('numpy', 'requests', 'urllib3')\n"
+            "print(sorted(calls), sorted(m for m in ('numpy', 'requests', 'urllib3', 'http.server',\n"
+            "                                         'http.client', 'email.parser')\n"
             "                            if m in sys.modules))\n"
         )
         env = dict(os.environ)

@@ -1,7 +1,9 @@
+import io
 import json
 import shutil
 import socket
 import ssl
+import struct
 import subprocess
 import sys
 import threading
@@ -12,11 +14,16 @@ import pytest
 from convogen import scripted_server
 from convogen.errors import ConfigError, LlmUnavailable, ProtocolError
 from convogen.gateway import (
+    MAX_FIELDS,
+    MAX_LINE,
     GatewayConfig,
     LlmGateway,
     _endpoint,
     backoff_delays_s,
     probe_endpoint,
+    read_exact,
+    read_fields,
+    read_line,
 )
 from convogen.scripted_server import PROGRAMS, ScriptedLlmServer, load_fixture_file, request_digest
 
@@ -178,6 +185,61 @@ WIRE_CASES = {
 }
 
 
+def chat_request(prompt: str, *fields: bytes, version: bytes = b"HTTP/1.1") -> bytes:
+    """A whole chat-completion request for ``ScriptedLlmServer``."""
+    body = json.dumps({"messages": [{"role": "user", "content": prompt}]}).encode()
+    extra = b"".join(field + b"\r\n" for field in fields)
+    return (b"POST /v1/chat/completions %s\r\nHost: test\r\n%sContent-Length: %d\r\n\r\n%s"
+            % (version, extra, len(body), body))
+
+
+def talk(server, *sends: bytes, half_close: bool = False) -> bytes:
+    """Send each of ``sends`` on one new connection, a moment apart, then
+    read until the server ends it; a server that keeps it open fails the
+    read with a timeout. ``half_close`` ends the client's side first."""
+    with socket.create_connection(server._httpd.server_address[:2], timeout=5) as sock:
+        for i, data in enumerate(sends):
+            if i:
+                time.sleep(0.05)
+            sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        received = []
+        while chunk := sock.recv(65536):
+            received.append(chunk)
+    return b"".join(received)
+
+
+def parse_replies(data: bytes) -> list[tuple[int, dict[bytes, bytes], bytes]]:
+    """(status, fields, body) of each reply in ``data``, in order."""
+    reader, replies = io.BytesIO(data), []
+    while line := read_line(reader):
+        fields = read_fields(reader)
+        body = read_exact(reader, int(fields.get(b"content-length", b"0")))
+        replies.append((int(line.split()[1]), fields, body))
+    assert reader.read() == b""
+    return replies
+
+
+def reply_text(body: bytes) -> str:
+    return json.loads(body)["choices"][0]["message"]["content"]
+
+
+MALFORMED_REQUESTS = {
+    # a read of -1 bytes would wait for the end of the stream, that is, for the client
+    "negative-content-length":
+        (b"POST /v1/chat/completions HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+    "non-numeric-content-length":
+        (b"POST /v1/chat/completions HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    "chunked-request-body":
+        (b"POST /v1/chat/completions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 400),
+    "bad-request-line": (b"HELLO THERE\r\n\r\n", 400),
+    "request-line-too-long": (b"GET /" + b"a" * (MAX_LINE - 4), 400),
+    "too-many-fields": (b"GET / HTTP/1.1\r\n" + b"X-Field: 1\r\n" * (MAX_FIELDS + 1), 400),
+    "unknown-method": (b"DELETE /v1/chat/completions HTTP/1.1\r\n\r\n", 501),
+}
+
+
 class TestScriptedServer:
     def test_digest_fixture_served(self):
         digest = request_digest([{"role": "user", "content": "ping"}])
@@ -187,9 +249,37 @@ class TestScriptedServer:
         assert out == "pong"
         assert gw.metrics_snapshot()["stages"]["default"]["prompt_tokens"] > 0
 
+    def test_digest_rules_win_over_earlier_pattern_rules(self):
+        messages = [{"role": "system", "content": "be brief"}, {"role": "user", "content": "ping"}]
+        fixtures = [{"pattern": "ping", "response": "by pattern"},
+                    {"digest": request_digest(messages), "response": "by digest"}]
+        with ScriptedLlmServer(fixtures=fixtures) as server:
+            _, by_digest = server.respond({"messages": messages}, messages)
+            _, by_pattern = server.respond({"messages": messages[1:]}, messages[1:])
+        assert by_digest["choices"][0]["message"]["content"] == "by digest"
+        assert by_pattern["choices"][0]["message"]["content"] == "by pattern"
+
+    def test_concurrent_replies_have_distinct_ids(self):
+        # each reply's id is its request number, taken before the latency sleep
+        messages = [{"role": "user", "content": "hello"}]
+        ids = []
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}],
+                               latency_base_ms=20) as server:
+            def call():
+                ids.append(server.respond({"messages": messages}, messages)[1]["id"])
+
+            threads = [threading.Thread(target=call) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+        assert sorted(ids) == sorted(f"scripted-{n}" for n in range(1, 9))
+
     def test_accepted_connections_disable_nagle(self, monkeypatch):
-        # a response leaves in two sends (headers, then body); with Nagle on,
-        # the body waits for the client's delayed ACK, ~40 ms per request
+        # a reply leaves in one write, but a reply after an interim 100 or
+        # after a pipelined one would wait for the client's delayed ACK
+        # with Nagle on, ~40 ms
         nodelay = []
         setup = scripted_server._Handler.setup
 
@@ -215,6 +305,101 @@ class TestScriptedServer:
         server.stop()
         assert time.monotonic() - t0 < 0.25
         assert not server._thread.is_alive()
+
+    def test_stop_before_start_returns_at_once(self):
+        stopper = threading.Thread(target=ScriptedLlmServer(fixtures=[]).stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+
+    def test_kept_alive_calls_each_reply_in_one_write(self, monkeypatch):
+        writes: list[list[bytes]] = []  # per accepted connection
+        setup = scripted_server._Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            sent, write = [], handler.wfile.write
+            writes.append(sent)
+            handler.wfile.write = lambda data: sent.append(bytes(data)) or write(data)
+
+        monkeypatch.setattr(scripted_server._Handler, "setup", recording_setup)
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+            gw = gateway_for(server)
+            assert [gw.complete(f"call {i}") for i in range(10)] == [
+                f"call {i}" for i in range(10)]
+        assert len(writes) == 1 and len(writes[0]) == 10
+        for i, data in enumerate(writes[0]):
+            [(status, fields, body)] = parse_replies(data)
+            assert status == 200 and reply_text(body) == f"call {i}"
+            assert fields[b"content-type"] == b"application/json"
+
+    @pytest.mark.parametrize("request_bytes", [
+        chat_request("once", version=b"HTTP/1.0"), chat_request("once", b"Connection: close"),
+    ], ids=["http-1.0", "connection-close"])
+    def test_connection_ends_after_the_reply(self, request_bytes):
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+            [(status, fields, body)] = parse_replies(talk(server, request_bytes))
+        assert status == 200 and reply_text(body) == "once"
+        assert fields[b"connection"] == b"close"
+
+    def test_pipelined_requests_are_answered_in_order(self):
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+            data = talk(server, chat_request("first") + chat_request("second"), half_close=True)
+        assert [(status, reply_text(body)) for status, _, body in parse_replies(data)] == [
+            (200, "first"), (200, "second")]
+
+    def test_body_split_across_two_sends(self):
+        request = chat_request("split body")
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+            data = talk(server, request[:-10], request[-10:], half_close=True)
+        [(status, _, body)] = parse_replies(data)
+        assert status == 200 and reply_text(body) == "split body"
+
+    def test_expect_100_continue_gets_an_interim_reply(self):
+        request = chat_request("large", b"Expect: 100-continue")
+        head, body = request.split(b"\r\n\r\n", 1)
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+            with socket.create_connection(server._httpd.server_address[:2], timeout=5) as sock:
+                sock.sendall(head + b"\r\n\r\n")
+                interim = sock.recv(65536)
+                sock.sendall(body)
+                sock.shutdown(socket.SHUT_WR)
+                rest = b""
+                while chunk := sock.recv(65536):
+                    rest += chunk
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        [(status, _, reply)] = parse_replies(rest)
+        assert status == 200 and reply_text(reply) == "large"
+
+    @pytest.mark.parametrize("request_bytes, status", MALFORMED_REQUESTS.values(),
+                             ids=MALFORMED_REQUESTS.keys())
+    def test_malformed_request_is_answered_then_closed(self, request_bytes, status, capsys):
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+            [(got, fields, body)] = parse_replies(talk(server, request_bytes))
+            assert server.stats()["requests"] == 0
+        assert got == status and fields[b"connection"] == b"close"
+        assert "error" in json.loads(body)
+        assert capsys.readouterr().err == ""
+
+    def test_client_hanging_up_mid_reply_is_quiet(self, capsys):
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}],
+                               latency_base_ms=100) as server:
+            ended = threading.Event()
+            shutdown_request = server._httpd.shutdown_request
+
+            def recording_shutdown(request):  # runs after any handle_error
+                shutdown_request(request)
+                ended.set()
+
+            server._httpd.shutdown_request = recording_shutdown
+            sock = socket.create_connection(server._httpd.server_address[:2], timeout=5)
+            sock.sendall(chat_request("gone"))
+            time.sleep(0.02)  # the request is read, the reply not yet written
+            # a reset, not a FIN: the reply's write fails
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            assert ended.wait(5)
+        assert capsys.readouterr().err == ""
 
     def test_unknown_digest_is_protocol_error(self):
         with ScriptedLlmServer(fixtures=[]) as server:
@@ -333,7 +518,7 @@ class TestTransport:
         # a dropped request on a new connection is a transport failure:
         # one connection per attempt, and no free resend
         def drop(handler):
-            handler.rfile.read(int(handler.headers["Content-Length"]))
+            handler.rfile.read(int(handler.headers[b"content-length"]))
             handler.close_connection = True
 
         monkeypatch.setattr(scripted_server._Handler, "do_POST", drop)
@@ -350,14 +535,14 @@ class TestTransport:
         do_post = scripted_server._Handler.do_POST
 
         def recording_post(handler):
-            seen.append(handler.headers.get("Authorization"))
+            seen.append(handler.headers.get(b"authorization"))
             do_post(handler)
 
         monkeypatch.setattr(scripted_server._Handler, "do_POST", recording_post)
         with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
             gateway_for(server, api_key="sk-test").complete("one")
             gateway_for(server).complete("two")
-        assert seen == ["Bearer sk-test", None]
+        assert seen == [b"Bearer sk-test", None]
 
     def test_refused_port_is_unavailable_after_the_budget(self):
         gw = LlmGateway(GatewayConfig(endpoint_url=closed_port_url(), retry_budget=2,
