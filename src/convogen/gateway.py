@@ -7,20 +7,22 @@ deterministic exponential backoff. Usage is accounted per pipeline stage.
 
 The transport is a small HTTP/1.1 client of its own. Head and body go out
 in one ``sendall``; the reader skips 1xx replies, reads chunked and
-``Content-Length`` bodies (else to the end of the stream) and caps lines
-and fields as ``http.client`` does; ``scripted_server`` reads requests
-with the same ``read_line``, ``read_fields`` and ``read_exact``. ``https``
-is verified against the system's CA certificates; proxy settings are not
-read. At most ``max_in_flight`` keep-alive connections are pooled. A
-pooled one that the server closed while idle is sent once more on a fresh
-connection, which is not a retry (RFC 9112 section 9.3.1); any other
-failure spends the budget.
+``Content-Length`` bodies (else to the end of the stream), caps lines
+and fields as ``http.client`` does and takes a length only as 1-18
+decimal or 1-16 hex digits; ``scripted_server`` reads requests with the
+same ``read_line``, ``read_fields``, ``parse_length`` and ``read_exact``.
+``https`` is verified against the system's CA certificates; proxy
+settings are not read. At most ``max_in_flight`` keep-alive connections
+are pooled. A pooled one that the server closed while idle is sent once
+more on a fresh connection, which is not a retry (RFC 9112 section
+9.3.1); any other failure spends the budget.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import ssl
 import threading
@@ -37,6 +39,8 @@ ENV_ENDPOINT = "CONVOGEN_ENDPOINT_URL"
 ENV_API_KEY = "CONVOGEN_API_KEY"
 
 MAX_LINE, MAX_FIELDS = 65536, 100  # as http.client: bytes a line, fields a header
+# a Content-Length in decimal, a chunk size in hex
+_LENGTHS = {10: re.compile(rb"[0-9]{1,18}"), 16: re.compile(rb"[0-9A-Fa-f]{1,16}")}
 
 
 class WireError(ValueError):
@@ -120,9 +124,17 @@ def read_line(reader) -> bytes:
     return line
 
 
+def parse_length(field: bytes, base: int = 10) -> int:
+    """A ``Content-Length`` (base 10) or chunk size (base 16): 1-18 decimal
+    or 1-16 hex digits and nothing else, or a ``WireError``."""
+    if not _LENGTHS[base].fullmatch(field):
+        raise WireError(f"bad length {field[:40]!r}")
+    return int(field, base)
+
+
 def read_exact(reader, size: int) -> bytes:
     """``size`` bytes, or a ``WireError`` when the stream ends first."""
-    data = reader.read(size) if size >= 0 else b""
+    data = reader.read(size)
     if len(data) != size:
         raise WireError(f"body of {size} bytes ended after {len(data)}")
     return data
@@ -180,14 +192,15 @@ class _Connection:
             return status, b"", keep
         if coding.endswith(b"chunked"):
             chunks = []
-            while chunk := read_exact(reader, int(read_line(reader).split(b";", 1)[0], 16)):
+            while chunk := read_exact(
+                    reader, parse_length(read_line(reader).split(b";", 1)[0].strip(), 16)):
                 chunks.append(chunk)
                 read_line(reader)  # the line end after the chunk
             read_fields(reader)  # the trailer, dropped
             return status, b"".join(chunks), keep
         if coding or b"content-length" not in fields:
             return status, reader.read(), False  # the body ends with the stream
-        return status, read_exact(reader, int(fields[b"content-length"])), keep
+        return status, read_exact(reader, parse_length(fields[b"content-length"])), keep
 
 
 def backoff_delays_s(base_ms: int, retries: int) -> list[float]:

@@ -102,13 +102,9 @@ class MetadataBundle:
         object.__setattr__(self, "qas", tuple(self.qas))
 
     @property
-    def annotation_count(self) -> int:
-        return len(self.captions) + len(self.boxes) + len(self.qas)
-
-    @property
     def is_admissible(self) -> bool:
         """A bundle must carry at least one annotation to enter generation."""
-        return self.annotation_count > 0
+        return bool(self.captions or self.boxes or self.qas)
 
 
 def _caption_key(c: CaptionAnnotation):

@@ -2,7 +2,7 @@
 
 Templates live as plain text files under ``prompts/<set>/<id>.txt`` next to
 a ``distribution.json`` that maps template ids to weights (optionally with
-intent and required context origins).
+required context origins).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Mapping
 from .context import ORIGINS, ContextSet
 from .errors import ConfigError, NoCompatibleTemplate, UnresolvedPlaceholder
 
-INTENTS = ("conversation", "detailed_description", "complex_reasoning", "custom")
 KNOWN_PLACEHOLDERS = ("{context}", "{image_size}")
 
 _PLACEHOLDER = re.compile(r"\{[a-z_]+\}")
@@ -34,7 +33,6 @@ _MARKER = re.compile(
 class PromptTemplate:
     template_id: str
     body: str
-    intent: str = "custom"
     compat: frozenset[str] = frozenset()
 
     def __post_init__(self):
@@ -46,8 +44,6 @@ class PromptTemplate:
         ]
         if unknown:
             raise UnresolvedPlaceholder(f"no value for {unknown[0]} in {self.template_id!r}")
-        if self.intent not in INTENTS:
-            raise ValueError(f"unknown intent {self.intent!r}")
         stray = self.compat.difference(ORIGINS)
         if stray:
             raise ValueError(f"unknown origins {sorted(map(str, stray))} in {self.template_id!r}")
@@ -126,10 +122,9 @@ def load_prompt_set(prompts_dir: str | Path, set_name: str) -> PromptDistributio
     """Read ``<prompts_dir>/<set_name>/*.txt`` plus its distribution.json.
 
     Any fault of the set (unreadable spec, missing file, a template without
-    ``{context}`` or with an unknown placeholder, a bad weight or intent, an
-    entry key other than ``weight``, ``intent`` and ``requires``, a
-    ``requires`` that is not a list of known origins) is a ConfigError,
-    raised before any image runs.
+    ``{context}`` or with an unknown placeholder, a bad weight, an entry key
+    other than ``weight`` and ``requires``, a ``requires`` that is not a
+    list of known origins) is a ConfigError, raised before any image runs.
     """
     base = Path(prompts_dir) / set_name
     dist_path = base / "distribution.json"
@@ -141,23 +136,21 @@ def load_prompt_set(prompts_dir: str | Path, set_name: str) -> PromptDistributio
         templates: dict[str, PromptTemplate] = {}
         for template_id, value in spec.items():
             if isinstance(value, dict):
-                unknown = set(value) - {"weight", "intent", "requires"}
+                unknown = set(value) - {"weight", "requires"}
                 if unknown:
                     raise ValueError(f"unknown keys {sorted(unknown)} for {template_id!r}")
                 weight = value.get("weight", 1.0)
-                intent = value.get("intent", "custom")
                 compat = value.get("requires", [])
                 if not isinstance(compat, list):
                     raise ValueError(f"requires of {template_id!r} must be a list of origins")
             else:
-                weight, intent, compat = value, "custom", frozenset()
+                weight, compat = value, frozenset()
             body_path = base / f"{template_id}.txt"
             if not body_path.exists():
                 raise ConfigError(f"template file missing: {body_path}")
             templates[template_id] = PromptTemplate(
                 template_id=template_id,
                 body=body_path.read_text(encoding="utf-8"),
-                intent=intent,
                 compat=compat,
             )
             entries.append((template_id, float(weight)))

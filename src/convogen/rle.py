@@ -114,13 +114,8 @@ def foreground_area(rle: str) -> int:
     return intervals(rle).area
 
 
-def intersection_area(a: str, b: str) -> int:
-    """Pixels in the foreground of both masks; ``ValueError`` across grids."""
-    return overlap(intervals(a), intervals(b))
-
-
 def overlap(ia: Intervals, ib: Intervals) -> int:
-    """``intersection_area`` of two parsed masks."""
+    """Pixels in the foreground of both masks; ``ValueError`` across grids."""
     same_grid(ia, ib)
     if not ia.ends or not ib.ends:
         return 0

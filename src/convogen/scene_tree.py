@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import rle
-from .metadata import Bbox, BoxAnnotation, ImageRef, clamp_box
+from .metadata import Bbox, BoxAnnotation, ImageRef
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class SceneRegion:
             object.__setattr__(self, "mask", rle.intervals(self.mask_rle))
         if self.area <= 0:
             _, _, w, h = self.bbox
-            area = float(self.mask.area) if self.mask_rle else w * h
+            area = float(self.mask.area) if self.mask else w * h
             object.__setattr__(self, "area", area)
         if self.area <= 0:
             raise ValueError(f"region {self.label!r} has zero area")
@@ -103,9 +103,9 @@ class SceneRegion:
             raise ValueError("members must be >= 1")
 
 
-def region_from_box(box: BoxAnnotation, image: ImageRef) -> SceneRegion:
-    """Build a region from a box annotation, clamped to the image."""
-    box = clamp_box(box, image)
+def region_from_box(box: BoxAnnotation) -> SceneRegion:
+    """Build a region from a box annotation as ``load_bundle`` returns it,
+    already clamped to its image."""
     return SceneRegion(
         label=normalize_label(box.label),
         bbox=box.bbox,
@@ -140,11 +140,11 @@ def _center_dist(a: SceneRegion, b: SceneRegion) -> float:
 
 def overlap_stats(a: SceneRegion, b: SceneRegion) -> OverlapStats:
     """Pairwise overlap; mask-based when both regions carry masks."""
-    if a.mask_rle and b.mask_rle:
+    if a.mask and b.mask:
         # raises ValueError when the masks come from different image grids
-        inter = float(rle.intersection_area(a.mask_rle, b.mask_rle))
-        area_a = float(rle.foreground_area(a.mask_rle))
-        area_b = float(rle.foreground_area(b.mask_rle))
+        inter = float(rle.overlap(a.mask, b.mask))
+        area_a = float(a.mask.area)
+        area_b = float(b.mask.area)
     else:
         inter = _bbox_intersection(a.bbox, b.bbox)
         area_a = a.bbox[2] * a.bbox[3]
@@ -199,7 +199,7 @@ def _mergeable(a: SceneRegion, b: SceneRegion, p: SceneTreeParams) -> bool:
         and abs(a.depth_mean - b.depth_mean) > p.depth_tolerance
     ):
         return False
-    if a.mask_rle and b.mask_rle:
+    if a.mask and b.mask:
         rle.same_grid(a.mask, b.mask)
     if _center_dist(a, b) > p.t_s:
         return False
@@ -226,7 +226,7 @@ def _merge_component(regions: list[SceneRegion]) -> SceneRegion:
     if len(regions) == 1:
         return regions[0]
     mask = None
-    if all(r.mask_rle for r in regions):
+    if all(r.mask for r in regions):
         mask = rle.union([r.mask for r in regions])
     return SceneRegion(
         label=regions[0].label,
@@ -272,11 +272,6 @@ class TreeNode:
     avg_size: Optional[tuple[float, float]] = None
 
 
-@dataclass
-class SceneTree:
-    roots: list[TreeNode] = field(default_factory=list)
-
-
 def _contains(outer: SceneRegion, inner: SceneRegion, t_c: float) -> bool:
     """``overlap_stats(inner, outer).containment >= t_c``, by the same float
     expressions. Two masks whose pixel extents overlap too little for the
@@ -299,15 +294,16 @@ def _contains(outer: SceneRegion, inner: SceneRegion, t_c: float) -> bool:
     return w * h > 0 and max(iw, 0.0) * max(ih, 0.0) / (w * h) >= t_c
 
 
-def build_tree(regions: list[SceneRegion], p: SceneTreeParams) -> SceneTree:
-    """Place regions in descending-area order under their smallest container.
+def build_tree(regions: list[SceneRegion], p: SceneTreeParams) -> list[TreeNode]:
+    """Place regions in descending-area order under their smallest container;
+    returns the roots.
 
     A region becomes a child of the already-placed region with the smallest
     area whose containment ratio is >= t_c (earliest placed wins area ties),
     otherwise a root. Masks on different grids raise ``ValueError``.
     """
     ordered = sorted(regions, key=region_sort_key)
-    masks = [r.mask for r in ordered if r.mask_rle]
+    masks = [r.mask for r in ordered if r.mask]
     for mask in masks[1:]:
         rle.same_grid(masks[0], mask)
     placed: list[TreeNode] = []
@@ -324,7 +320,7 @@ def build_tree(regions: list[SceneRegion], p: SceneTreeParams) -> SceneTree:
                 parent = candidate
         (parent.children if parent else roots).append(node)
         placed.append(node)
-    return SceneTree(roots=roots)
+    return roots
 
 
 def _count_descriptor(total: int, p: SceneTreeParams) -> str:
@@ -383,10 +379,10 @@ def _group_siblings(nodes: list[TreeNode], p: SceneTreeParams) -> list[TreeNode]
     return sorted(out, key=_sibling_key)
 
 
-def group_and_count(tree: SceneTree, p: SceneTreeParams) -> SceneTree:
+def group_and_count(roots: list[TreeNode], p: SceneTreeParams) -> list[TreeNode]:
     """Gather equal-label siblings under synthetic count-descriptor nodes
     and order every sibling list by depth, then area, then label."""
-    return SceneTree(roots=_group_siblings(tree.roots, p))
+    return _group_siblings(roots, p)
 
 
 def _format_region(node: TreeNode, image: ImageRef) -> str:
@@ -415,7 +411,7 @@ def _collapsible(node: TreeNode) -> bool:
     )
 
 
-def serialize_tree(tree: SceneTree, image: ImageRef) -> str:
+def serialize_tree(roots: list[TreeNode], image: ImageRef) -> str:
     """Render the grouped tree as two-space-indented ASCII, one node per line."""
     lines: list[str] = []
 
@@ -426,7 +422,7 @@ def serialize_tree(tree: SceneTree, image: ImageRef) -> str:
         for child in node.children:
             emit(child, level + 1)
 
-    for root in tree.roots:
+    for root in roots:
         emit(root, 0)
     return "\n".join(lines)
 
@@ -437,8 +433,9 @@ def build_scene_tree(
     params: SceneTreeParams,
 ) -> str:
     """Full pipeline for one image: merge, place, group, serialize; returns
-    the ASCII tree."""
-    regions = [region_from_box(b, image) for b in boxes]
+    the ASCII tree. ``boxes`` are taken as ``load_bundle`` returns them,
+    clamped to ``image``; no box is clamped here again."""
+    regions = [region_from_box(b) for b in boxes]
     merged = merge_duplicates(regions, params)
-    tree = group_and_count(build_tree(merged, params), params)
-    return serialize_tree(tree, image)
+    roots = group_and_count(build_tree(merged, params), params)
+    return serialize_tree(roots, image)

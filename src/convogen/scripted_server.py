@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import ConfigError
-from .gateway import WireError, read_exact, read_fields, read_line
+from .gateway import WireError, parse_length, read_exact, read_fields, read_line
 from .ingestion import open_input
 
 _NUMBERED = re.compile(r"^\s*(\d+)\.\s+(.*\S)\s*$", re.MULTILINE)
@@ -227,9 +227,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 raise WireError(f"bad request line {line[:80]!r}")
             method, self.path, version = parts
             self.headers = read_fields(self.rfile)
-            if (b"transfer-encoding" in self.headers
-                    or not self.headers.get(b"content-length", b"0").isdigit()):
-                raise WireError("a request body needs a Content-Length of digits")
+            if b"transfer-encoding" in self.headers:
+                raise WireError("a request body needs a Content-Length")
+            self.length = parse_length(self.headers.get(b"content-length", b"0"))
             self.close_connection = (
                 version == b"HTTP/1.0" or self.protocol_version == "HTTP/1.0"
                 or b"close" in self.headers.get(b"connection", b"").lower()
@@ -260,7 +260,7 @@ class _Handler(socketserver.StreamRequestHandler):
         self._send(200, {"ok": True})
 
     def do_POST(self):
-        raw = read_exact(self.rfile, int(self.headers.get(b"content-length", b"0")))
+        raw = read_exact(self.rfile, self.length)
         if self.path != b"/v1/chat/completions":
             self._send(404, {"error": "unknown path"})
             return
@@ -306,12 +306,7 @@ class ScriptedLlmServer:
         self.latency_per_char_ms = latency_per_char_ms
         self._lock = threading.Lock()
         self._in_flight = 0
-        self._stats = {
-            "requests": 0,
-            "high_water_in_flight": 0,
-            "by_status": {},
-            "unmatched": 0,
-        }
+        self._stats = {"requests": 0, "high_water_in_flight": 0, "by_status": {}}
         self._httpd = _Server((host, port), _Handler)
         self._httpd.owner = self
         self._thread: Optional[threading.Thread] = None
@@ -348,7 +343,6 @@ class ScriptedLlmServer:
                 "requests": self._stats["requests"],
                 "high_water_in_flight": self._stats["high_water_in_flight"],
                 "by_status": dict(self._stats["by_status"]),
-                "unmatched": self._stats["unmatched"],
             }
 
     def respond(self, request: dict, messages: list[dict]) -> tuple[int, dict]:
@@ -396,5 +390,4 @@ class ScriptedLlmServer:
         for rule in self._rules:
             if rule.matches(digest, prompt):
                 return rule.resolve(request, prompt)
-        self._stats["unmatched"] += 1
         return 404, f"no fixture for digest {digest}"

@@ -135,7 +135,7 @@ def _sibling_counters(tree):
                 counter[node.region.label] += 1
                 visit(node.children, id(node.region))
 
-    visit(tree.roots if hasattr(tree, "roots") else tree, None)
+    visit(tree, None)
     return counters
 
 
@@ -200,7 +200,7 @@ def test_scene_tree_matches_bruteforce_oracles():
                 # after grouping no two plain siblings may share a label
                 return all(count == 1 for count in labels_n.values())
 
-            if not check_groups(grouped.roots):
+            if not check_groups(grouped):
                 mismatches += 1
     elapsed = time.monotonic() - started
     assert mismatches == 0, f"{mismatches} scene(s) disagreed with the oracle"

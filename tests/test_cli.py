@@ -258,9 +258,10 @@ class TestRun:
             ("{context}", {"weight": 1.0, "requires": "tree"}),
             ("{context}", {"weight": 1.0, "requires": ["trees"]}),
             ("{context}", {"weigth": 5, "requries": ["tree"]}),
+            ("{context}", {"weight": 1.0, "intent": "conversation"}),
         ],
         ids=["unknown-placeholder", "no-context", "zero-weight", "requires-string",
-             "unknown-origin", "misspelt-keys"],
+             "unknown-origin", "misspelt-keys", "intent-key"],
     )
     def test_bad_prompt_set_exits_two_before_any_image(self, tmp_path, body, entry):
         from convogen.sharding import plan_shards
@@ -406,7 +407,7 @@ class TestRun:
             "from convogen import rle\n"
             "from convogen.cli import main\n"
             "calls = set()\n"
-            "for name in ('intersection_area', 'union'):\n"
+            "for name in ('overlap', 'union'):\n"
             "    real = getattr(rle, name)\n"
             "    setattr(rle, name, lambda *a, real=real, name=name: calls.add(name) or real(*a))\n"
             f"assert main(['run', '--config', {str(config)!r}]) == 0\n"
@@ -420,7 +421,7 @@ class TestRun:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "['intersection_area', 'union'] []"
+        assert done.stdout.splitlines()[-1] == "['overlap', 'union'] []"
 
     def test_feature_flag_override(self, tmp_path):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 2)

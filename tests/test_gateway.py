@@ -19,7 +19,9 @@ from convogen.gateway import (
     GatewayConfig,
     LlmGateway,
     _endpoint,
+    WireError,
     backoff_delays_s,
+    parse_length,
     probe_endpoint,
     read_exact,
     read_fields,
@@ -166,6 +168,9 @@ class ConnectionLog:
 
 SHORT = b"HTTP/1.1 200 OK\r\nContent-Length: 999\r\n\r\n" + completion("cut")
 GARBAGE = b"HTTTP/1.1 2x0 nope\r\n\r\n"
+# lengths past ssize_t, which a read of that many bytes cannot take
+HUGE_LENGTH = b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n" % (b"9" * 20)
+HUGE_CHUNK = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%s\r\n" % (b"f" * 17)
 # connection scripts, then per call the reply text or LlmUnavailable, then
 # the retries spent; every call of a case runs with retry_budget=1
 WIRE_CASES = {
@@ -182,6 +187,8 @@ WIRE_CASES = {
     # the bad reply comes on a pooled connection, and still spends the budget
     "garbage-status-line": ([[with_length(completion("one")), GARBAGE], [GARBAGE]],
                             ["one", LlmUnavailable], 1),
+    "content-length-of-20-digits": ([[HUGE_LENGTH], [HUGE_LENGTH]], [LlmUnavailable], 1),
+    "chunk-size-of-17-hex-digits": ([[HUGE_CHUNK], [HUGE_CHUNK]], [LlmUnavailable], 1),
 }
 
 
@@ -231,6 +238,13 @@ MALFORMED_REQUESTS = {
         (b"POST /v1/chat/completions HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
     "non-numeric-content-length":
         (b"POST /v1/chat/completions HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    # int() refuses more than 4300 digits; 19 digits pass it but not a read
+    "content-length-of-5000-digits":
+        (b"POST /v1/chat/completions HTTP/1.1\r\nContent-Length: %s\r\n\r\n" % (b"9" * 5000),
+         400),
+    "content-length-of-19-digits":
+        (b"POST /v1/chat/completions HTTP/1.1\r\nContent-Length: %s\r\n\r\n" % (b"9" * 19),
+         400),
     "chunked-request-body":
         (b"POST /v1/chat/completions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 400),
     "bad-request-line": (b"HELLO THERE\r\n\r\n", 400),
@@ -677,6 +691,23 @@ class TestTransport:
     def test_endpoint_needs_http_scheme(self):
         with pytest.raises(ValueError):
             _endpoint("ftp://127.0.0.1:8000")
+
+
+class TestLengthFields:
+    @pytest.mark.parametrize("field, base, value", [
+        (b"0", 10, 0), (b"007", 10, 7), (b"9" * 18, 10, 10**18 - 1),
+        (b"fF", 16, 255), (b"f" * 16, 16, 16**16 - 1),
+    ])
+    def test_digits_within_the_bound_parse(self, field, base, value):
+        assert parse_length(field, base) == value
+
+    @pytest.mark.parametrize("field, base", [
+        (b"", 10), (b"9" * 19, 10), (b"-1", 10), (b"+5", 10), (b" 5", 10), (b"5_0", 10),
+        (b"\xd9\xa3", 10), (b"a", 10), (b"", 16), (b"f" * 17, 16), (b"0x1", 16), (b"-f", 16),
+    ])
+    def test_anything_else_is_a_wire_error(self, field, base):
+        with pytest.raises(WireError):
+            parse_length(field, base)
 
 
 class TestBackoff:

@@ -22,8 +22,8 @@ def serialize_turns(pairs: list[tuple[str, str]]) -> str:
     return "\n".join(f"Human: {h}\nAssistant: {a}" for h, a in pairs)
 
 
-def template(template_id="t", body="Context:\n{context}\n", intent="custom", compat=()):
-    return PromptTemplate(template_id=template_id, body=body, intent=intent, compat=frozenset(compat))
+def template(template_id="t", body="Context:\n{context}\n", compat=()):
+    return PromptTemplate(template_id=template_id, body=body, compat=frozenset(compat))
 
 
 def distribution(*specs):
@@ -179,4 +179,3 @@ class TestPromptSetLoading:
             "spatial",
         }
         assert dist.templates["spatial"].compat == frozenset({"tree"})
-        assert dist.templates["conversation"].intent == "conversation"

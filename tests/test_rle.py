@@ -56,6 +56,10 @@ def union_of(masks: list[str]) -> str:
     return rle.encode(rle.union([rle.intervals(m) for m in masks]))
 
 
+def overlap_of(a: str, b: str) -> int:
+    return rle.overlap(rle.intervals(a), rle.intervals(b))
+
+
 grids = st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12))
 
 
@@ -74,8 +78,8 @@ def wide_mask_sets(max_masks=4):
 def test_intersection_and_area_match_decode_oracle(masks):
     a, b = masks[0], masks[-1]
     ma, mb = rle.decode(a), rle.decode(b)
-    assert rle.intersection_area(a, b) == int(np.logical_and(ma, mb).sum())
-    assert rle.intersection_area(b, a) == rle.intersection_area(a, b)
+    assert overlap_of(a, b) == int(np.logical_and(ma, mb).sum())
+    assert overlap_of(b, a) == overlap_of(a, b)
     assert rle.foreground_area(a) == int(ma.sum())
     assert rle.intervals(a)[:2] == (ma.shape[1], ma.shape[0])
 
@@ -124,8 +128,8 @@ def test_all_background_and_all_foreground_intervals():
     empty, full = "4x3:12", "4x3:0 12"
     assert rle.foreground_area(empty) == 0
     assert rle.foreground_area(full) == 12
-    assert rle.intersection_area(empty, full) == 0
-    assert rle.intersection_area(full, full) == 12
+    assert overlap_of(empty, full) == 0
+    assert overlap_of(full, full) == 12
     assert union_of([empty, empty]) == empty
     assert union_of([empty, full]) == full
 
@@ -133,14 +137,14 @@ def test_all_background_and_all_foreground_intervals():
 def test_disjoint_extents_intersect_in_nothing():
     top = rle.from_bbox((0, 0, 4, 1), 4, 4)
     bottom = rle.from_bbox((0, 3, 4, 1), 4, 4)
-    assert rle.intersection_area(top, bottom) == 0
+    assert overlap_of(top, bottom) == 0
     assert union_of([bottom, top]) == "4x4:0 4 8 4"
 
 
 def test_different_grids_raise():
     a, b = "4x3:2 5 5", "3x4:2 5 5"  # same pixel count, different grid
     with pytest.raises(ValueError):
-        rle.intersection_area(a, b)
+        overlap_of(a, b)
     with pytest.raises(ValueError):
         union_of([a, b])
 

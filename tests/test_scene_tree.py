@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from convogen import rle
+from convogen import metadata, rle
+from convogen.ingestion import load_bundle
 from convogen.metadata import BoxAnnotation, ImageRef
 from convogen.scene_tree import (
     SceneRegion,
@@ -24,6 +26,8 @@ from convogen.scene_tree import (
     region_sort_key,
     serialize_tree,
 )
+
+from convogen.synth import synthetic_record
 
 from conftest import DATA_DIR, make_image, masks_on
 from oracles import encode
@@ -45,14 +49,14 @@ def member_total(tree) -> int:
         own = 0 if node.is_group else node.region.members
         return own + sum(total(c) for c in node.children)
 
-    return sum(total(r) for r in tree.roots)
+    return sum(total(r) for r in tree)
 
 
 def depth(tree) -> int:
     def node_depth(node) -> int:
         return 1 + max((node_depth(c) for c in node.children), default=0)
 
-    return max((node_depth(r) for r in tree.roots), default=0)
+    return max((node_depth(r) for r in tree), default=0)
 
 
 # ---------------------------------------------------------------- oracles
@@ -172,7 +176,7 @@ def tree_parent_map(tree):
         for child in node.children:
             visit(child, node.region)
 
-    for root in tree.roots:
+    for root in tree:
         visit(root, None)
     return mapping
 
@@ -397,8 +401,8 @@ class TestPairGates:
         assert float(4) / edge.area == P.t_c
         regions = [edge, crossing, outer]
         tree = build_tree(regions, P)
-        assert [n.region.label for n in tree.roots] == ["outer"]
-        assert [n.region.label for n in tree.roots[0].children] == ["crossing", "edge"]
+        assert [n.region.label for n in tree] == ["outer"]
+        assert [n.region.label for n in tree[0].children] == ["crossing", "edge"]
         assert_parents_match_oracle(regions, P)
 
     def test_masks_on_different_grids_raise_however_far_apart(self):
@@ -466,17 +470,17 @@ class TestBuildTree:
         person = region("person", (0, 0, 100, 200))
         face = region("face", (30, 10, 40, 50))
         tree = build_tree([person, face], P)
-        assert len(tree.roots) == 1
-        assert tree.roots[0].region.label == "person"
-        assert tree.roots[0].children[0].region.label == "face"
+        assert len(tree) == 1
+        assert tree[0].region.label == "person"
+        assert tree[0].children[0].region.label == "face"
 
     def test_disjoint_all_roots(self):
         a = region("a", (0, 0, 10, 10))
         b = region("b", (50, 50, 10, 10))
         c = region("c", (200, 200, 10, 10))
         tree = build_tree([a, b, c], P)
-        assert len(tree.roots) == 3
-        assert all(not r.children for r in tree.roots)
+        assert len(tree) == 3
+        assert all(not r.children for r in tree)
 
     def test_nested_fixture_matches_exhaustive_oracle(self):
         regions = [
@@ -504,8 +508,8 @@ class TestGroupAndCount:
             region("apple", (i * 40, 10, 20, 20), attrs=("red",)) for i in range(3)
         ]
         tree = group_and_count(build_tree(siblings, P), P)
-        assert len(tree.roots) == 1
-        group = tree.roots[0]
+        assert len(tree) == 1
+        group = tree[0]
         assert group.is_group and group.count_label == "3"
         assert len(group.children) == 3
 
@@ -514,7 +518,7 @@ class TestGroupAndCount:
             region("person", (i * 30, 5, 10 + i, 20)) for i in range(12)
         ]
         tree = group_and_count(build_tree(siblings, P), P)
-        group = tree.roots[0]
+        group = tree[0]
         assert group.count_label == "many"
         expected_w = sum(10 + i for i in range(12)) / 12
         assert group.avg_size[0] == pytest.approx(expected_w)
@@ -522,7 +526,7 @@ class TestGroupAndCount:
     def test_several_band(self):
         siblings = [region("cup", (i * 30, 5, 10, 10)) for i in range(6)]
         tree = group_and_count(build_tree(siblings, P), P)
-        assert tree.roots[0].count_label == "several"
+        assert tree[0].count_label == "several"
 
     def test_mixed_fixture_matches_multimap_oracle(self):
         regions = (
@@ -535,13 +539,13 @@ class TestGroupAndCount:
         for r in regions:
             oracle[r.label] = oracle.get(r.label, 0) + 1
         got = {}
-        for node in tree.roots:
+        for node in tree:
             if node.is_group:
                 got[node.region.label] = sum(c.region.members for c in node.children)
             else:
                 got[node.region.label] = node.region.members
         assert got == oracle
-        grouped_labels = {n.region.label for n in tree.roots if n.is_group}
+        grouped_labels = {n.region.label for n in tree if n.is_group}
         assert grouped_labels == {label for label, count in oracle.items() if count >= 2}
 
     def test_sibling_order_depth_then_area(self):
@@ -549,7 +553,7 @@ class TestGroupAndCount:
         far = region("far", (20, 0, 30, 30), depth=0.9)
         unknown = region("unknown", (60, 0, 50, 50))
         tree = group_and_count(build_tree([far, unknown, near], P), P)
-        assert [n.region.label for n in tree.roots] == ["near", "far", "unknown"]
+        assert [n.region.label for n in tree] == ["near", "far", "unknown"]
 
 
 class TestSerialize:
@@ -629,10 +633,40 @@ class TestProperties:
             assert depths == sorted(depths, reverse=True), (seed, depths)
 
     def test_region_from_box_rasterize_mode(self):
-        image = make_image(width=50, height=50)
         mask = rle.from_bbox((5, 5, 10, 10), 50, 50)
         box = BoxAnnotation("Dogs", (5, 5, 10, 10), mask_rle=mask, source="s")
-        r = region_from_box(box, image)
+        r = region_from_box(box)
         assert r.label == "dog"
         assert r.mask_rle is not None
         assert rle.foreground_area(r.mask_rle) == 100
+
+
+class TestClampOnce:
+    def test_ingest_clamps_each_box_once_and_the_tree_never_again(self):
+        # a dense-masks-like batch: up to 30 boxes an image, half with
+        # masks, every third box pushed partly out of frame
+        rng = random.Random(5)
+        records = []
+        for i in range(24):
+            record = synthetic_record(rng, i, max_boxes=30, max_qas=0)
+            for box in record["boxes"][::3]:
+                box["bbox"][0] -= box["bbox"][2] / 2
+            records.append(record)
+        clamp_code = metadata.clamp_box.__code__
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is clamp_code:
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            bundles = [load_bundle(record) for record in records]
+            trees = [build_scene_tree(list(b.boxes), b.image, P) for b in bundles]
+        finally:
+            sys.setprofile(None)
+        assert calls == sum(len(record["boxes"]) for record in records) > 200
+        assert all(tree or not b.boxes for tree, b in zip(trees, bundles))
+        # a second clamp would change no box that ingest returns
+        assert all(metadata.clamp_box(box, b.image) is box for b in bundles for box in b.boxes)

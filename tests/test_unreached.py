@@ -16,6 +16,7 @@ ALLOWED = {
     "ingestion:_read_run": "only past run_size, 50 000 records; tested with a small run_size",
     "pipeline:validate_conversation_record": "perfbench's output check calls it",
     "rle:decode": "perfbench patches it and clears its cache; it moves with ROADMAP item 1",
+    "rle:foreground_area": "perfbench's self-test reads it; it moves with ROADMAP item 1",
     "scripted_server:_prog_echo_last_user": "reached by run --scripted-fixtures",
     "scripted_server:load_fixture_file": "reached by run --scripted-fixtures",
     "scripted_server:ScriptedLlmServer.stats": "perfbench's backend reports it",
@@ -38,3 +39,14 @@ def test_every_unreached_def_is_allowed_with_its_reason():
     }
     assert sorted(unreached - ALLOWED.keys()) == [], "a def that no command reaches"
     assert sorted(ALLOWED.keys() - unreached) == [], "reached or gone: drop it from ALLOWED"
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    env = dict(os.environ)
+    paths = (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    code = "import convogen, sys; print(sorted(m for m in sys.modules if m.startswith('convogen.')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
