@@ -105,6 +105,8 @@ def config_from_dict(data: dict) -> PipelineConfig:
     if cfg.claim_staleness_s <= 0:
         # every claim, a live worker's own included, would be stale at once
         raise ConfigError(f"claim_staleness_s {cfg.claim_staleness_s} must be above 0")
+    if cfg.parallelism < 1:
+        raise ConfigError(f"parallelism {cfg.parallelism} must be at least 1")
     cfg.gateway = cfg.gateway.with_env_overrides()
     return cfg
 

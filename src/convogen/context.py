@@ -169,19 +169,20 @@ def assemble_context(
     bundle: MetadataBundle,
     tree_text: str,
     llm,
-    plain_box_sentences: Optional[Sequence[str]] = None,
     max_attempts: int = 3,
 ) -> ContextSet:
     """Build the full ordered context for one image.
 
-    Captions are copied verbatim, the tree (or plain box lines) is turned
-    into tree-origin sentences, and every QA pair yields exactly one
-    statement (fallbacks included), so no annotation is silently dropped.
+    Captions are copied verbatim, the tree is turned into tree-origin
+    sentences (a blank tree into one plain line per box), and every QA
+    pair yields exactly one statement (fallbacks included), so no
+    annotation is silently dropped.
     """
     sentences = [make_sentence(c.text, ORIGIN_CAPTION) for c in bundle.captions]
     if tree_text.strip():
         sentences.extend(tree_to_description(tree_text, llm, max_attempts=max_attempts))
-    elif plain_box_sentences:
-        sentences.extend(make_sentence(s, ORIGIN_TREE) for s in plain_box_sentences)
+    else:
+        plain = boxes_to_plain_sentences(bundle.boxes)
+        sentences.extend(make_sentence(s, ORIGIN_TREE) for s in plain)
     sentences.extend(qas_to_statements(bundle.qas, llm, max_attempts))
     return ContextSet.build(bundle.image, sentences)

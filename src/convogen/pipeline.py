@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from .config import PipelineConfig
-from .context import assemble_context, boxes_to_plain_sentences
+from .context import assemble_context
 from .errors import AlreadyClaimed, ConfigError, LlmUnavailable
 from .gateway import LlmGateway, probe_endpoint
 from .generation import Conversation, generate_conversation, generate_conversation_direct
@@ -181,16 +181,7 @@ def _process_image(
         timings["tree"] = time.monotonic() - t0
 
         stage, t0 = "context", time.monotonic()
-        plain = None
-        if not cfg.features.bbox_conversion and bundle.boxes:
-            plain = boxes_to_plain_sentences(bundle.boxes)
-        ctx = assemble_context(
-            bundle,
-            tree_text,
-            gateway,
-            plain_box_sentences=plain,
-            max_attempts=cfg.generation.max_retries,
-        )
+        ctx = assemble_context(bundle, tree_text, gateway, cfg.generation.max_retries)
         timings["context"] = time.monotonic() - t0
         if not ctx.sentences:
             rows.append((image_id, "context", "empty context", None))
@@ -333,7 +324,7 @@ def run_pipeline(
         elif not probe_endpoint(cfg.gateway.endpoint_url):
             raise LlmUnavailable(f"endpoint unreachable: {cfg.gateway.endpoint_url}")
         gateway = stack.enter_context(closing(LlmGateway(gateway_cfg)))
-        threads = max(1, cfg.parallelism)
+        threads = cfg.parallelism
         pool = ThreadPoolExecutor(max_workers=threads)
         stack.callback(pool.shutdown, cancel_futures=True)
         # each image submitted and not yet committed, in submission order

@@ -342,10 +342,12 @@ def _sibling_key(node: TreeNode):
     )
 
 
-def _group_siblings(nodes: list[TreeNode], p: SceneTreeParams) -> list[TreeNode]:
+def group_and_count(nodes: list[TreeNode], p: SceneTreeParams) -> list[TreeNode]:
+    """Gather equal-label siblings under synthetic count-descriptor nodes
+    and order every sibling list by depth, then area, then label."""
     for node in nodes:
         if node.children:
-            node.children = _group_siblings(node.children, p)
+            node.children = group_and_count(node.children, p)
     buckets: dict[str, list[TreeNode]] = {}
     for node in nodes:
         buckets.setdefault(node.region.label, []).append(node)
@@ -377,12 +379,6 @@ def _group_siblings(nodes: list[TreeNode], p: SceneTreeParams) -> list[TreeNode]
             )
         )
     return sorted(out, key=_sibling_key)
-
-
-def group_and_count(roots: list[TreeNode], p: SceneTreeParams) -> list[TreeNode]:
-    """Gather equal-label siblings under synthetic count-descriptor nodes
-    and order every sibling list by depth, then area, then label."""
-    return _group_siblings(roots, p)
 
 
 def _format_region(node: TreeNode, image: ImageRef) -> str:

@@ -199,80 +199,65 @@ _REASONS = {status.value: status.phrase.encode("latin-1") for status in HTTPStat
 class _Handler(socketserver.StreamRequestHandler):
     """Keep-alive HTTP/1.1 over the gateway's own message framing.
 
-    Request bodies are framed by ``Content-Length`` only. A request that
-    cannot be framed gets 400, a method other than GET and POST gets 501,
-    and either ends the connection.
+    Each request is read whole, its body framed by ``Content-Length`` for
+    any method, before it is answered. A request that cannot be framed
+    gets 400, a method other than GET and POST gets 501, and either ends
+    the connection, as an HTTP/1.0 request or ``Connection: close`` does.
     """
 
-    protocol_version = "HTTP/1.1"
     # an interim 100 or a pipelined reply would otherwise wait on a delayed ACK
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
-        self.close_connection = False
         try:
-            while not self.close_connection:
-                self.handle_one_request()
+            while self._answer():
+                pass
         except OSError:
             pass  # the client hung up; there is no one left to answer
 
-    def handle_one_request(self) -> None:
-        self.close_connection = True  # until the head has been read whole
+    def _answer(self) -> bool:
+        """Read one request and reply to it; False once the connection ends."""
         try:
             line = read_line(self.rfile)
             if not line:
-                return  # closed between requests
+                return False  # closed between requests
             parts = line.split()
             if len(parts) != 3 or parts[2] not in (b"HTTP/1.1", b"HTTP/1.0"):
                 raise WireError(f"bad request line {line[:80]!r}")
-            method, self.path, version = parts
-            self.headers = read_fields(self.rfile)
-            if b"transfer-encoding" in self.headers:
+            method, path, version = parts
+            fields = read_fields(self.rfile)
+            if b"transfer-encoding" in fields:
                 raise WireError("a request body needs a Content-Length")
-            self.length = parse_length(self.headers.get(b"content-length", b"0"))
-            self.close_connection = (
-                version == b"HTTP/1.0" or self.protocol_version == "HTTP/1.0"
-                or b"close" in self.headers.get(b"connection", b"").lower()
-            )
-            if method == b"GET":
-                self.do_GET()
-            elif method == b"POST":
-                if b"100-continue" in self.headers.get(b"expect", b"").lower():
-                    self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-                self.do_POST()
-            else:
-                self.close_connection = True  # its body, if any, is left unread
-                self._send(501, {"error": "unsupported method"})
+            length = parse_length(fields.get(b"content-length", b"0"))
+            if b"100-continue" in fields.get(b"expect", b"").lower():
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = read_exact(self.rfile, length)
         except WireError as exc:
-            self.close_connection = True
-            self._send(400, {"error": str(exc)})
-
-    def _send(self, status: int, payload: dict) -> None:
-        """The whole reply in one write."""
-        body = json.dumps(payload).encode("utf-8")
-        close = b"Connection: close\r\n" if self.close_connection else b""
-        self.wfile.write(
-            b"%s %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s"
-            % (self.protocol_version.encode("latin-1"), status, _REASONS.get(status, b""),
-               len(body), close, body))
-
-    def do_GET(self):
-        self._send(200, {"ok": True})
-
-    def do_POST(self):
-        raw = read_exact(self.rfile, self.length)
-        if self.path != b"/v1/chat/completions":
-            self._send(404, {"error": "unknown path"})
-            return
+            return self._send(400, {"error": str(exc)}, False)
+        keep = version == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
+        if method == b"GET":
+            return self._send(200, {"ok": True}, keep)
+        if method != b"POST":
+            return self._send(501, {"error": "unsupported method"}, False)
+        if path != b"/v1/chat/completions":
+            return self._send(404, {"error": "unknown path"}, keep)
         try:
-            request = json.loads(raw)
+            request = json.loads(body)
             messages = request["messages"]
         except (ValueError, KeyError, TypeError):
-            self._send(400, {"error": "bad request body"})
-            return
+            return self._send(400, {"error": "bad request body"}, keep)
         # looked up per request: a caller may replace ``respond`` on the instance
         status, payload = self.server.owner.respond(request, messages)
-        self._send(status, payload)
+        return self._send(status, payload, keep)
+
+    def _send(self, status: int, payload: dict, keep: bool) -> bool:
+        """The whole reply in one write; returns ``keep``."""
+        body = json.dumps(payload).encode("utf-8")
+        close = b"" if keep else b"Connection: close\r\n"
+        self.wfile.write(
+            b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n%s"
+            % (status, _REASONS.get(status, b""), len(body), close, body))
+        return keep
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -296,8 +281,6 @@ class ScriptedLlmServer:
         fixtures: Optional[list[dict]] = None,
         latency_base_ms: float = 0.0,
         latency_per_char_ms: float = 0.0,
-        host: str = "127.0.0.1",
-        port: int = 0,
     ):
         # digest rules are tried before pattern rules, each kind in its given order
         self._rules = sorted((_Rule(spec) for spec in fixtures or []),
@@ -307,7 +290,7 @@ class ScriptedLlmServer:
         self._lock = threading.Lock()
         self._in_flight = 0
         self._stats = {"requests": 0, "high_water_in_flight": 0, "by_status": {}}
-        self._httpd = _Server((host, port), _Handler)
+        self._httpd = _Server(("127.0.0.1", 0), _Handler)
         self._httpd.owner = self
         self._thread: Optional[threading.Thread] = None
 

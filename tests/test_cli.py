@@ -297,8 +297,10 @@ class TestRun:
             ({"rng_seed": 1.5}, "rng_seed"),
             ({"features": {"filtering": "no"}}, "filtering"),
             ({"claim_staleness_s": 0}, "claim_staleness_s"),
+            ({"parallelism": 0}, "parallelism"),
         ],
-        ids=["parallelism-string", "rng-seed-float", "filtering-string", "staleness-zero"],
+        ids=["parallelism-string", "rng-seed-float", "filtering-string", "staleness-zero",
+             "parallelism-zero"],
     )
     def test_wrong_typed_value_exits_two(self, tmp_path, capsys, overrides, key):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)

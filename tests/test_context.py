@@ -10,7 +10,6 @@ from convogen.context import (
     ORIGIN_TREE,
     ContextSet,
     assemble_context,
-    boxes_to_plain_sentences,
     make_sentence,
     qa_to_statement,
     qas_to_statements,
@@ -155,8 +154,7 @@ class TestAssemble:
 
     def test_plain_box_sentences_when_tree_off(self):
         bundle = make_bundle(boxes=[make_box("Dog", (10, 10, 20, 20))])
-        plain = boxes_to_plain_sentences(bundle.boxes)
-        ctx = assemble_context(bundle, "", FakeLlm(), plain_box_sentences=plain)
+        ctx = assemble_context(bundle, "", FakeLlm())
         assert len(ctx.sentences) == 1
         assert "dog" in ctx.sentences[0].text
         assert ctx.sentences[0].origin == ORIGIN_TREE

@@ -84,6 +84,7 @@ class RawServer:
     def __init__(self, script: list[list[bytes]]):
         self.script = script
         self.accepted = 0
+        self.half_closed = 0
         self.heads: list[bytes] = []
         self.bodies: list[bytes] = []
         self.leftover = b""
@@ -130,7 +131,24 @@ class RawServer:
                         break
                     conn.sendall(reply)
                 conn.shutdown(socket.SHUT_WR)
+                self.half_closed += 1
                 self.leftover += reader.read()
+
+    def wait_half_closed(self, count: int, timeout_s: float = 5.0) -> bool:
+        """Whether ``count`` connections have been half-closed in time."""
+        deadline = time.monotonic() + timeout_s
+        while self.half_closed < count:
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.01)
+        return True
+
+
+def head_fields(head: bytes) -> dict[bytes, bytes]:
+    """The fields of a request head as ``RawServer`` keeps it."""
+    reader = io.BytesIO(head + b"\r\n")
+    read_line(reader)
+    return read_fields(reader)
 
 
 class ConnectionLog:
@@ -369,6 +387,13 @@ class TestScriptedServer:
         [(status, _, body)] = parse_replies(data)
         assert status == 200 and reply_text(body) == "split body"
 
+    def test_get_body_is_read_before_the_next_request(self):
+        # every request body is framed by Content-Length, whatever the method
+        with ScriptedLlmServer(fixtures=[]) as server:
+            data = talk(server, b"GET / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+                        + b"GET / HTTP/1.1\r\n\r\n", half_close=True)
+        assert [status for status, _, _ in parse_replies(data)] == [200, 200]
+
     def test_expect_100_continue_gets_an_interim_reply(self):
         request = chat_request("large", b"Expect: 100-continue")
         head, body = request.split(b"\r\n\r\n", 1)
@@ -495,67 +520,50 @@ class TestScriptedServer:
 
 
 class TestTransport:
-    def test_server_closing_after_every_response(self, monkeypatch):
-        # an HTTP/1.0 handler ends the connection after each response
-        monkeypatch.setattr(scripted_server._Handler, "protocol_version", "HTTP/1.0")
-        connections = ConnectionLog(monkeypatch)
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+    def test_server_closing_after_every_response(self):
+        # an HTTP/1.0 reply ends its connection
+        script = [[with_length(completion(f"call {i}"), b"HTTP/1.0")] for i in range(5)]
+        with RawServer(script) as server:
             gw = gateway_for(server)
             got = [gw.complete(f"call {i}") for i in range(5)]
+            gw.close()
         assert got == [f"call {i}" for i in range(5)]
         assert gw.metrics_snapshot()["retries"] == 0
-        assert connections.accepted == 5
+        assert server.accepted == 5
 
-    def test_idle_connection_closed_by_server_is_resent_not_retried(self, monkeypatch):
-        # the server keeps announcing keep-alive but drops the socket after
-        # each response, so every pooled connection is stale when reused
-        do_post = scripted_server._Handler.do_POST
-
-        def post_then_drop(handler):
-            do_post(handler)
-            handler.close_connection = True
-
-        monkeypatch.setattr(scripted_server._Handler, "do_POST", post_then_drop)
-        connections = ConnectionLog(monkeypatch)
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+    def test_idle_connection_closed_by_server_is_resent_not_retried(self):
+        # the server keeps announcing keep-alive but half-closes the socket
+        # after each response, so every pooled connection is stale when reused
+        with RawServer([[with_length(completion(f"call {i}"))] for i in range(5)]) as server:
             gw = gateway_for(server)
             got = []
             for i in range(5):
                 got.append(gw.complete(f"call {i}"))
-                assert connections.wait_all_ended()  # the pooled socket is now dead
+                assert server.wait_half_closed(i + 1)  # the pooled socket is now dead
+            gw.close()
         assert got == [f"call {i}" for i in range(5)]
         metrics = gw.metrics_snapshot()
         assert metrics["requests"] == 5 and metrics["retries"] == 0
-        assert connections.accepted == 5
+        assert server.accepted == 5
 
-    def test_failure_on_a_fresh_connection_spends_the_budget(self, monkeypatch):
+    def test_failure_on_a_fresh_connection_spends_the_budget(self):
         # a dropped request on a new connection is a transport failure:
         # one connection per attempt, and no free resend
-        def drop(handler):
-            handler.rfile.read(int(handler.headers[b"content-length"]))
-            handler.close_connection = True
-
-        monkeypatch.setattr(scripted_server._Handler, "do_POST", drop)
-        connections = ConnectionLog(monkeypatch)
-        with ScriptedLlmServer(fixtures=[]) as server:
+        with RawServer([[]] * 3) as server:
             gw = gateway_for(server, retry_budget=2)
             with pytest.raises(LlmUnavailable, match="transport error"):
                 gw.complete("dropped")
         assert gw.metrics_snapshot()["max_retries_single_request"] == 2
-        assert connections.accepted == 3
+        assert server.accepted == 3
 
-    def test_bearer_auth_reaches_the_server(self, monkeypatch):
-        seen = []
-        do_post = scripted_server._Handler.do_POST
-
-        def recording_post(handler):
-            seen.append(handler.headers.get(b"authorization"))
-            do_post(handler)
-
-        monkeypatch.setattr(scripted_server._Handler, "do_POST", recording_post)
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
-            gateway_for(server, api_key="sk-test").complete("one")
-            gateway_for(server).complete("two")
+    def test_bearer_auth_reaches_the_server(self):
+        with RawServer([[with_length(completion("one"))],
+                        [with_length(completion("two"))]]) as server:
+            for key in ("sk-test", None):
+                gw = gateway_for(server, api_key=key)
+                gw.complete("call")
+                gw.close()  # the server reads one connection at a time
+        seen = [head_fields(head).get(b"authorization") for head in server.heads]
         assert seen == [b"Bearer sk-test", None]
 
     def test_refused_port_is_unavailable_after_the_budget(self):
