@@ -8,9 +8,10 @@ deterministic exponential backoff. Usage is accounted per pipeline stage.
 The transport is a small HTTP/1.1 client of its own. Head and body go out
 in one ``sendall``; the reader skips 1xx replies, reads chunked and
 ``Content-Length`` bodies (else to the end of the stream), caps lines
-and fields as ``http.client`` does and takes a length only as 1-18
-decimal or 1-16 hex digits; ``scripted_server`` reads requests with the
-same ``read_line``, ``read_fields``, ``parse_length`` and ``read_exact``.
+and fields as ``http.client`` does, takes a length only as 1-18 decimal
+or 1-16 hex digits and a body only up to ``MAX_BODY`` bytes;
+``scripted_server`` reads requests with the same ``read_line``,
+``read_fields``, ``parse_length`` and ``read_exact``.
 ``https`` is verified against the system's CA certificates; proxy
 settings are not read. At most ``max_in_flight`` keep-alive connections
 are pooled. A pooled one that the server closed while idle is sent once
@@ -39,6 +40,7 @@ ENV_ENDPOINT = "CONVOGEN_ENDPOINT_URL"
 ENV_API_KEY = "CONVOGEN_API_KEY"
 
 MAX_LINE, MAX_FIELDS = 65536, 100  # as http.client: bytes a line, fields a header
+MAX_BODY = 16 << 20  # bytes a body, far above any prompt or reply
 # a Content-Length in decimal, a chunk size in hex
 _LENGTHS = {10: re.compile(rb"[0-9]{1,18}"), 16: re.compile(rb"[0-9A-Fa-f]{1,16}")}
 
@@ -132,9 +134,17 @@ def parse_length(field: bytes, base: int = 10) -> int:
     return int(field, base)
 
 
+def _within_cap(size: int) -> int:
+    """``size``, or a ``WireError`` when a body that long passes ``MAX_BODY``."""
+    if size > MAX_BODY:
+        raise WireError(f"body of {size} bytes is over the cap of {MAX_BODY}")
+    return size
+
+
 def read_exact(reader, size: int) -> bytes:
-    """``size`` bytes, or a ``WireError`` when the stream ends first."""
-    data = reader.read(size)
+    """``size`` bytes, or a ``WireError`` when the stream ends first or
+    ``size`` passes ``MAX_BODY``; nothing is read past the cap."""
+    data = reader.read(_within_cap(size))
     if len(data) != size:
         raise WireError(f"body of {size} bytes ended after {len(data)}")
     return data
@@ -191,15 +201,17 @@ class _Connection:
         if status in (204, 304):
             return status, b"", keep
         if coding.endswith(b"chunked"):
-            chunks = []
-            while chunk := read_exact(
-                    reader, parse_length(read_line(reader).split(b";", 1)[0].strip(), 16)):
-                chunks.append(chunk)
+            chunks, total = [], 0
+            while size := parse_length(read_line(reader).split(b";", 1)[0].strip(), 16):
+                total = _within_cap(total + size)  # the cap holds for the sum of chunks
+                chunks.append(read_exact(reader, size))
                 read_line(reader)  # the line end after the chunk
             read_fields(reader)  # the trailer, dropped
             return status, b"".join(chunks), keep
         if coding or b"content-length" not in fields:
-            return status, reader.read(), False  # the body ends with the stream
+            data = reader.read(MAX_BODY + 1)  # the body ends with the stream
+            _within_cap(len(data))
+            return status, data, False
         return status, read_exact(reader, parse_length(fields[b"content-length"])), keep
 
 

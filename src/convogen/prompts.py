@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 from .context import ORIGINS, ContextSet
 from .errors import ConfigError, NoCompatibleTemplate, UnresolvedPlaceholder
@@ -51,18 +50,15 @@ class PromptTemplate:
 
 @dataclass(frozen=True)
 class PromptDistribution:
-    entries: tuple[tuple[str, float], ...]
-    templates: Mapping[str, PromptTemplate] = field(default_factory=dict)
+    entries: tuple[tuple[PromptTemplate, float], ...]  # (template, weight), in draw order
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple((tid, float(w)) for tid, w in self.entries))
+        object.__setattr__(self, "entries", tuple((t, float(w)) for t, w in self.entries))
         if not self.entries:
             raise ValueError("distribution has no entries")
-        for tid, weight in self.entries:
+        for template, weight in self.entries:
             if weight <= 0:
-                raise ValueError(f"weight for {tid!r} must be > 0")
-            if tid not in self.templates:
-                raise ValueError(f"template id {tid!r} is not resolvable")
+                raise ValueError(f"weight for {template.template_id!r} must be > 0")
 
 
 def sample_template(
@@ -70,11 +66,7 @@ def sample_template(
 ) -> PromptTemplate:
     """Weighted draw over the entries compatible with the context's origins."""
     present = ctx.origins()
-    pool = [
-        (tid, weight)
-        for tid, weight in dist.entries
-        if dist.templates[tid].compat <= present
-    ]
+    pool = [(template, weight) for template, weight in dist.entries if template.compat <= present]
     if not pool:
         raise NoCompatibleTemplate(
             f"no template compatible with origins {sorted(present)}"
@@ -82,11 +74,11 @@ def sample_template(
     total = sum(weight for _, weight in pool)
     x = rng.random() * total
     acc = 0.0
-    for tid, weight in pool:
+    for template, weight in pool:
         acc += weight
         if x < acc:
-            return dist.templates[tid]
-    return dist.templates[pool[-1][0]]
+            return template
+    return pool[-1][0]
 
 
 def render(template: PromptTemplate, ctx: ContextSet) -> str:
@@ -132,8 +124,7 @@ def load_prompt_set(prompts_dir: str | Path, set_name: str) -> PromptDistributio
         raise ConfigError(f"prompt set {set_name!r} missing {dist_path}")
     try:
         spec = json.loads(dist_path.read_text(encoding="utf-8"))
-        entries: list[tuple[str, float]] = []
-        templates: dict[str, PromptTemplate] = {}
+        entries: list[tuple[PromptTemplate, float]] = []
         for template_id, value in spec.items():
             if isinstance(value, dict):
                 unknown = set(value) - {"weight", "requires"}
@@ -148,12 +139,12 @@ def load_prompt_set(prompts_dir: str | Path, set_name: str) -> PromptDistributio
             body_path = base / f"{template_id}.txt"
             if not body_path.exists():
                 raise ConfigError(f"template file missing: {body_path}")
-            templates[template_id] = PromptTemplate(
+            template = PromptTemplate(
                 template_id=template_id,
                 body=body_path.read_text(encoding="utf-8"),
                 compat=compat,
             )
-            entries.append((template_id, float(weight)))
-        return PromptDistribution(entries=tuple(entries), templates=templates)
+            entries.append((template, float(weight)))
+        return PromptDistribution(entries=tuple(entries))
     except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad prompt set {set_name!r}: {exc}") from exc

@@ -165,12 +165,6 @@ def union(parsed: Sequence[Intervals]) -> Intervals:
     )
 
 
-def encode(iv: Intervals) -> str:
-    """Canonical encoding of parsed intervals: no zero-length run but a
-    leading background run of 0, and no trailing background run of 0."""
-    return _emit(iv.width, iv.height, iv.starts, iv.ends)
-
-
 def _emit(width: int, height: int, starts: Iterable[int], ends: Iterable[int]) -> str:
     """Encode sorted, disjoint, non-touching foreground intervals."""
     starts, ends = tuple(starts), tuple(ends)

@@ -80,19 +80,15 @@ def pluralize(label: str) -> str:
 class SceneRegion:
     label: str
     bbox: Bbox
-    mask_rle: Optional[str] = None
+    mask: Optional[rle.Intervals] = field(default=None, repr=False)
     depth_mean: Optional[float] = None
     attributes: tuple[str, ...] = ()
     members: int = 1
     area: float = 0.0           # derived when left at 0: mask area, else bbox area
-    # mask_rle parsed; derived when left out, given by a merge that built it
-    mask: Optional[rle.Intervals] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bbox", tuple(map(float, self.bbox)))
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        if self.mask_rle and self.mask is None:
-            object.__setattr__(self, "mask", rle.intervals(self.mask_rle))
         if self.area <= 0:
             _, _, w, h = self.bbox
             area = float(self.mask.area) if self.mask else w * h
@@ -109,7 +105,7 @@ def region_from_box(box: BoxAnnotation) -> SceneRegion:
     return SceneRegion(
         label=normalize_label(box.label),
         bbox=box.bbox,
-        mask_rle=box.mask_rle,
+        mask=rle.intervals(box.mask_rle) if box.mask_rle else None,
         depth_mean=box.depth_mean,
         attributes=tuple(sorted(set(box.attributes))),
     )
@@ -169,7 +165,7 @@ def region_sort_key(r: SceneRegion):
         r.depth_mean or 0.0,
         r.attributes,
         r.members,
-        r.mask_rle or "",
+        r.mask or (),
     )
 
 
@@ -231,11 +227,10 @@ def _merge_component(regions: list[SceneRegion]) -> SceneRegion:
     return SceneRegion(
         label=regions[0].label,
         bbox=_union_bbox(regions),
-        mask_rle=rle.encode(mask) if mask else None,
+        mask=mask,
         depth_mean=_member_weighted_depth(regions),
         attributes=tuple(sorted({a for r in regions for a in r.attributes})),
         members=sum(r.members for r in regions),
-        mask=mask,
     )
 
 
@@ -267,8 +262,7 @@ def merge_duplicates(regions: list[SceneRegion], p: SceneTreeParams) -> list[Sce
 class TreeNode:
     region: SceneRegion
     children: list["TreeNode"] = field(default_factory=list)
-    is_group: bool = False
-    count_label: Optional[str] = None
+    count_label: Optional[str] = None  # set exactly on a synthetic group node
     avg_size: Optional[tuple[float, float]] = None
 
 
@@ -373,7 +367,6 @@ def group_and_count(nodes: list[TreeNode], p: SceneTreeParams) -> list[TreeNode]
             TreeNode(
                 region=group_region,
                 children=sorted(bucket, key=_sibling_key),
-                is_group=True,
                 count_label=_count_descriptor(total, p),
                 avg_size=(avg_w, avg_h),
             )
@@ -389,7 +382,7 @@ def _format_region(node: TreeNode, image: ImageRef) -> str:
     cy = min(max(round(y + h / 2.0), 0), image.height)
     attrs = f" [{', '.join(r.attributes)}]" if r.attributes else ""
     depth = f" depth={r.depth_mean:.2f}" if r.depth_mean is not None else ""
-    if node.is_group:
+    if node.count_label is not None:
         aw, ah = node.avg_size
         head = f"{node.count_label} {pluralize(r.label)}"
         size = f"avg_size={round(aw)}x{round(ah)}"
@@ -401,8 +394,8 @@ def _format_region(node: TreeNode, image: ImageRef) -> str:
 
 def _collapsible(node: TreeNode) -> bool:
     # identical leaf members render as the single group line
-    return node.is_group and all(
-        not c.children and not c.is_group and c.region.attributes == node.children[0].region.attributes
+    return node.count_label is not None and all(
+        not c.children and c.count_label is None and c.region.attributes == node.children[0].region.attributes
         for c in node.children
     )
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import ConfigError
-from .gateway import WireError, parse_length, read_exact, read_fields, read_line
+from .gateway import MAX_BODY, WireError, parse_length, read_exact, read_fields, read_line
 from .ingestion import open_input
 
 _NUMBERED = re.compile(r"^\s*(\d+)\.\s+(.*\S)\s*$", re.MULTILINE)
@@ -201,8 +201,9 @@ class _Handler(socketserver.StreamRequestHandler):
 
     Each request is read whole, its body framed by ``Content-Length`` for
     any method, before it is answered. A request that cannot be framed
-    gets 400, a method other than GET and POST gets 501, and either ends
-    the connection, as an HTTP/1.0 request or ``Connection: close`` does.
+    gets 400, a body over ``MAX_BODY`` 413, a method other than GET and
+    POST 501, and each ends the connection, as an HTTP/1.0 request or
+    ``Connection: close`` does.
     """
 
     # an interim 100 or a pipelined reply would otherwise wait on a delayed ACK
@@ -229,7 +230,10 @@ class _Handler(socketserver.StreamRequestHandler):
             if b"transfer-encoding" in fields:
                 raise WireError("a request body needs a Content-Length")
             length = parse_length(fields.get(b"content-length", b"0"))
-            if b"100-continue" in fields.get(b"expect", b"").lower():
+            if length > MAX_BODY:  # refused before any of it is asked for
+                return self._send(413, {"error": f"body over {MAX_BODY} bytes"}, False)
+            # an HTTP/1.0 client gets no 1xx reply (RFC 9110 section 10.1.1)
+            if version == b"HTTP/1.1" and b"100-continue" in fields.get(b"expect", b"").lower():
                 self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
             body = read_exact(self.rfile, length)
         except WireError as exc:

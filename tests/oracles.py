@@ -4,7 +4,7 @@ import numpy as np
 
 
 def encode(mask: np.ndarray) -> str:
-    """Encode a 2-D (height, width) binary array, as ``rle.union`` writes it."""
+    """Encode a 2-D (height, width) binary array in canonical form."""
     if mask.ndim != 2:
         raise ValueError(f"expected 2-D mask, got shape {mask.shape}")
     height, width = mask.shape
@@ -16,3 +16,11 @@ def encode(mask: np.ndarray) -> str:
         # runs always start with a background count
         runs = [0] + runs
     return f"{width}x{height}:" + " ".join(str(r) for r in runs)
+
+
+def grid(iv) -> np.ndarray:
+    """Paint parsed ``rle.Intervals`` onto a (height, width) bool array."""
+    flat = np.zeros(iv.width * iv.height, dtype=bool)
+    for start, end in zip(iv.starts, iv.ends):
+        flat[start:end] = True
+    return flat.reshape(iv.height, iv.width)

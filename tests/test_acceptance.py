@@ -127,7 +127,7 @@ def _sibling_counters(tree):
     def visit(nodes, parent_key):
         counter = counters.setdefault(parent_key, Counter())
         for node in nodes:
-            if node.is_group:
+            if node.count_label is not None:
                 for child in node.children:
                     counter[child.region.label] += 1
                     visit(child.children, id(child.region))
@@ -182,9 +182,9 @@ def test_scene_tree_matches_bruteforce_oracles():
                 continue
 
             def check_groups(nodes) -> bool:
-                labels_n = Counter(n.region.label for n in nodes if not n.is_group)
+                labels_n = Counter(n.region.label for n in nodes if n.count_label is None)
                 for node in nodes:
-                    if node.is_group:
+                    if node.count_label is not None:
                         total = sum(c.region.members for c in node.children)
                         if node.count_label != _descriptor(total, P_SCENE):
                             return False

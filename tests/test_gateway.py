@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from convogen import scripted_server
+from convogen import gateway, scripted_server
 from convogen.errors import ConfigError, LlmUnavailable, ProtocolError
 from convogen.gateway import (
     MAX_FIELDS,
@@ -189,6 +189,14 @@ GARBAGE = b"HTTTP/1.1 2x0 nope\r\n\r\n"
 # lengths past ssize_t, which a read of that many bytes cannot take
 HUGE_LENGTH = b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n" % (b"9" * 20)
 HUGE_CHUNK = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%s\r\n" % (b"f" * 17)
+# lengths the fields can hold but past the body cap: refused before any read
+CAPPED_LENGTH = b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n" % (b"9" * 18)
+CAPPED_CHUNK = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%s\r\n" % (b"f" * 16)
+LONG = completion("sixteen-byte chunks add up past a lowered cap")
+SMALL_CHUNKS = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                + b"".join(b"%x\r\n%s\r\n" % (len(LONG[i:i + 16]), LONG[i:i + 16])
+                           for i in range(0, len(LONG), 16))
+                + b"0\r\n\r\n")
 # connection scripts, then per call the reply text or LlmUnavailable, then
 # the retries spent; every call of a case runs with retry_budget=1
 WIRE_CASES = {
@@ -207,7 +215,12 @@ WIRE_CASES = {
                             ["one", LlmUnavailable], 1),
     "content-length-of-20-digits": ([[HUGE_LENGTH], [HUGE_LENGTH]], [LlmUnavailable], 1),
     "chunk-size-of-17-hex-digits": ([[HUGE_CHUNK], [HUGE_CHUNK]], [LlmUnavailable], 1),
+    "content-length-of-18-digits": ([[CAPPED_LENGTH], [CAPPED_LENGTH]], [LlmUnavailable], 1),
+    "chunk-size-of-16-hex-digits": ([[CAPPED_CHUNK], [CAPPED_CHUNK]], [LlmUnavailable], 1),
+    "chunks-past-a-lowered-cap": ([[SMALL_CHUNKS], [SMALL_CHUNKS]], [LlmUnavailable], 1),
 }
+# the body cap of a case, where it is not gateway.MAX_BODY; each chunk is under it
+LOWERED_CAPS = {"chunks-past-a-lowered-cap": 64}
 
 
 def chat_request(prompt: str, *fields: bytes, version: bytes = b"HTTP/1.1") -> bytes:
@@ -269,6 +282,10 @@ MALFORMED_REQUESTS = {
     "request-line-too-long": (b"GET /" + b"a" * (MAX_LINE - 4), 400),
     "too-many-fields": (b"GET / HTTP/1.1\r\n" + b"X-Field: 1\r\n" * (MAX_FIELDS + 1), 400),
     "unknown-method": (b"DELETE /v1/chat/completions HTTP/1.1\r\n\r\n", 501),
+    # refused before any interim 100, and before any of the body is read
+    "content-length-past-the-cap":
+        (b"POST /v1/chat/completions HTTP/1.1\r\nExpect: 100-continue\r\n"
+         b"Content-Length: %s\r\n\r\n" % (b"9" * 18), 413),
 }
 
 
@@ -409,6 +426,15 @@ class TestScriptedServer:
         assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
         [(status, _, reply)] = parse_replies(rest)
         assert status == 200 and reply_text(reply) == "large"
+
+    def test_expect_100_continue_from_http_1_0_gets_no_interim_reply(self):
+        # RFC 9110 section 10.1.1: the expectation is ignored from an HTTP/1.0 client
+        request = chat_request("old", b"Expect: 100-continue", version=b"HTTP/1.0")
+        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+            data = talk(server, request)
+        assert data.startswith(b"HTTP/1.1 200")
+        [(_, _, reply)] = parse_replies(data)
+        assert reply_text(reply) == "old"
 
     @pytest.mark.parametrize("request_bytes, status", MALFORMED_REQUESTS.values(),
                              ids=MALFORMED_REQUESTS.keys())
@@ -610,9 +636,10 @@ class TestTransport:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("script, expected, retries", WIRE_CASES.values(),
-                             ids=WIRE_CASES.keys())
-    def test_reply_framing(self, script, expected, retries):
+    @pytest.mark.parametrize("case", WIRE_CASES)
+    def test_reply_framing(self, case, monkeypatch):
+        script, expected, retries = WIRE_CASES[case]
+        monkeypatch.setattr(gateway, "MAX_BODY", LOWERED_CAPS.get(case, gateway.MAX_BODY))
         with RawServer(script) as server:
             gw = LlmGateway(GatewayConfig(endpoint_url=server.url, retry_budget=1,
                                           backoff_base_ms=1, timeout_s=5))

@@ -47,7 +47,7 @@ def turn_of(human="q?", assistant="a."):
 
 def single_template(body="TASK single turn\n{context}", template_id="t"):
     t = PromptTemplate(template_id=template_id, body=body)
-    return t, PromptDistribution(entries=((template_id, 1.0),), templates={template_id: t})
+    return t, PromptDistribution(entries=((t, 1.0),))
 
 
 class TestStoppingCriteria:
@@ -334,11 +334,10 @@ class TestGenerateConversation:
 def two_templates():
     """alpha and beta at equal weight: rng seed 1 draws alpha, then beta;
     seed 7 draws alpha, alpha, then beta."""
-    templates = {
-        tid: PromptTemplate(template_id=tid, body=f"TASK {tid}\n{{context}}")
+    return PromptDistribution(entries=tuple(
+        (PromptTemplate(template_id=tid, body=f"TASK {tid}\n{{context}}"), 1.0)
         for tid in ("alpha", "beta")
-    }
-    return PromptDistribution(entries=(("alpha", 1.0), ("beta", 1.0)), templates=templates)
+    ))
 
 
 def alpha_rejected_llm(alpha_reply="Human: Q?\nAssistant: from-alpha"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -30,15 +31,16 @@ from convogen.scene_tree import (
 from convogen.synth import synthetic_record
 
 from conftest import DATA_DIR, make_image, masks_on
-from oracles import encode
+from oracles import encode, grid
 
 P = SceneTreeParams()
 
 
 def region(label="thing", bbox=(0, 0, 10, 10), mask=None, depth=None, attrs=(), members=1):
+    """``mask``: an RLE string, parsed here, or a region's parsed mask."""
     return SceneRegion(
-        label=label, bbox=bbox, mask_rle=mask, depth_mean=depth,
-        attributes=tuple(attrs), members=members,
+        label=label, bbox=bbox, mask=rle.intervals(mask) if isinstance(mask, str) else mask,
+        depth_mean=depth, attributes=tuple(attrs), members=members,
     )
 
 
@@ -46,7 +48,7 @@ def member_total(tree) -> int:
     """Pre-merge region count conserved across build and grouping."""
 
     def total(node) -> int:
-        own = 0 if node.is_group else node.region.members
+        own = 0 if node.count_label is not None else node.region.members
         return own + sum(total(c) for c in node.children)
 
     return sum(total(r) for r in tree)
@@ -86,7 +88,7 @@ def oracle_rect_stats(a: SceneRegion, b: SceneRegion):
 
 def oracle_mask_stats_pixel_loop(a: SceneRegion, b: SceneRegion):
     """Brute-force pixel enumeration; only for small grids."""
-    ma, mb = rle.decode(a.mask_rle), rle.decode(b.mask_rle)
+    ma, mb = grid(a.mask), grid(b.mask)
     inter = area_a = area_b = 0
     for y in range(ma.shape[0]):
         for x in range(ma.shape[1]):
@@ -103,8 +105,8 @@ def oracle_mask_stats_pixel_loop(a: SceneRegion, b: SceneRegion):
 
 
 def oracle_stats(a: SceneRegion, b: SceneRegion):
-    if a.mask_rle and b.mask_rle:
-        ma, mb = rle.decode(a.mask_rle), rle.decode(b.mask_rle)
+    if a.mask and b.mask:
+        ma, mb = grid(a.mask), grid(b.mask)
         inter = int(np.sum(ma & mb))
         area_a = int(ma.sum())
         area_b = int(mb.sum())
@@ -168,7 +170,7 @@ def tree_parent_map(tree):
     mapping = {}
 
     def visit(node, parent_region):
-        if node.is_group:
+        if node.count_label is not None:
             for child in node.children:
                 visit(child, parent_region)
             return
@@ -291,8 +293,8 @@ class TestMaskIntervals:
     @given(masked_regions(min_regions=2))
     def test_merged_mask_is_encode_of_the_union(self, regions):
         merged = _merge_component(regions)
-        union = np.logical_or.reduce([rle.decode(r.mask_rle) for r in regions])
-        assert merged.mask_rle == encode(union)
+        union = np.logical_or.reduce([grid(r.mask) for r in regions])
+        assert merged.mask == rle.intervals(encode(union))
         assert merged.area == int(union.sum())
 
     def test_mask_outside_its_bbox_counts_by_pixels(self):
@@ -339,7 +341,7 @@ def scenes(draw, max_regions=7):
             like = draw(st.sampled_from(regions))
             x, y, w, h = like.bbox
             dx, dy = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-            regions.append(region(like.label, (x + dx, y + dy, w, h), mask=like.mask_rle,
+            regions.append(region(like.label, (x + dx, y + dy, w, h), mask=like.mask,
                                   depth=like.depth_mean, attrs=(f"r{i}",)))
             continue
         x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
@@ -408,19 +410,21 @@ class TestPairGates:
     def test_masks_on_different_grids_raise_however_far_apart(self):
         # far-apart boxes and extents: the center gate and the extent bound
         # alone would skip this pair, so the grids are checked first
-        a = region("m", (0, 0, 2, 2), mask=rle.from_bbox((0, 0, 2, 2), 40, 60))
-        b = region("m", (30, 30, 2, 2), mask=rle.from_bbox((30, 30, 2, 2), 60, 40))
+        mask_a, mask_b = rle.from_bbox((0, 0, 2, 2), 40, 60), rle.from_bbox((30, 30, 2, 2), 60, 40)
+        a = region("m", (0, 0, 2, 2), mask=mask_a)
+        b = region("m", (30, 30, 2, 2), mask=mask_b)
         with pytest.raises(ValueError, match="different grids"):
             merge_duplicates([a, b], P)
         with pytest.raises(ValueError, match="different grids"):
             build_tree([a, b], P)
-        boxes = [BoxAnnotation("m", r.bbox, mask_rle=r.mask_rle, source="s") for r in (a, b)]
+        boxes = [BoxAnnotation("m", r.bbox, mask_rle=m, source="s")
+                 for r, m in ((a, mask_a), (b, mask_b))]
         with pytest.raises(ValueError, match="different grids"):
             build_scene_tree(boxes, make_image(width=60, height=60), P)
         # merge pairs only same-label regions at near depths, as before
-        other_label = region("n", b.bbox, mask=b.mask_rle)
-        far_depth = region("m", b.bbox, mask=b.mask_rle, depth=0.9)
-        for pair in ([a, other_label], [region("m", a.bbox, mask=a.mask_rle, depth=0.1), far_depth]):
+        other_label = region("n", b.bbox, mask=b.mask)
+        far_depth = region("m", b.bbox, mask=b.mask, depth=0.9)
+        for pair in ([a, other_label], [region("m", a.bbox, mask=a.mask, depth=0.1), far_depth]):
             assert len(merge_duplicates(pair, P)) == 2
             with pytest.raises(ValueError, match="different grids"):
                 build_tree(pair, P)
@@ -510,7 +514,7 @@ class TestGroupAndCount:
         tree = group_and_count(build_tree(siblings, P), P)
         assert len(tree) == 1
         group = tree[0]
-        assert group.is_group and group.count_label == "3"
+        assert group.count_label == "3"
         assert len(group.children) == 3
 
     def test_twelve_persons_many_with_averaged_size(self):
@@ -540,12 +544,12 @@ class TestGroupAndCount:
             oracle[r.label] = oracle.get(r.label, 0) + 1
         got = {}
         for node in tree:
-            if node.is_group:
+            if node.count_label is not None:
                 got[node.region.label] = sum(c.region.members for c in node.children)
             else:
                 got[node.region.label] = node.region.members
         assert got == oracle
-        grouped_labels = {n.region.label for n in tree if n.is_group}
+        grouped_labels = {n.region.label for n in tree if n.count_label is not None}
         assert grouped_labels == {label for label, count in oracle.items() if count >= 2}
 
     def test_sibling_order_depth_then_area(self):
@@ -594,7 +598,8 @@ class TestProperties:
         regions = random_scene(rng, with_masks=True, with_depth=True, n_max=14)
         image = make_image(width=64, height=64)
         boxes = [
-            BoxAnnotation(r.label, r.bbox, r.attributes, r.mask_rle, r.depth_mean, "s")
+            BoxAnnotation(r.label, r.bbox, r.attributes, r.mask and encode(grid(r.mask)),
+                          r.depth_mean, "s")
             for r in regions
         ]
         base = build_scene_tree(boxes, image, P)
@@ -603,6 +608,25 @@ class TestProperties:
             rng.shuffle(shuffled)
             text = build_scene_tree(shuffled, image, P)
             assert text == base
+
+    def test_regions_equal_but_for_their_masks_serialize_alike_in_every_order(self):
+        # same label, box, area, depth, attributes and members; the left and
+        # right halves do not merge, and only the left one holds the dot
+        def box(label, bbox, mask_box):
+            return BoxAnnotation(label, bbox, (), rle.from_bbox(mask_box, 20, 20), 0.5, "s")
+
+        left = box("m", (0, 0, 20, 20), (0, 0, 10, 20))
+        right = box("m", (0, 0, 20, 20), (10, 0, 10, 20))
+        dot = box("dot", (2, 2, 2, 2), (2, 2, 2, 2))
+        image = make_image(width=20, height=20)
+        texts = {build_scene_tree(list(boxes), image, P)
+                 for boxes in itertools.permutations([left, right, dot])}
+        assert len(texts) == 1
+        assert texts.pop().splitlines()[1:] == [
+            "  m center=(10,10) size=20x20 depth=0.50",
+            "    dot center=(3,3) size=2x2 depth=0.50",
+            "  m center=(10,10) size=20x20 depth=0.50",
+        ]
 
     def test_member_conservation_through_pipeline(self):
         rng = random.Random(11)
@@ -637,8 +661,8 @@ class TestProperties:
         box = BoxAnnotation("Dogs", (5, 5, 10, 10), mask_rle=mask, source="s")
         r = region_from_box(box)
         assert r.label == "dog"
-        assert r.mask_rle is not None
-        assert rle.foreground_area(r.mask_rle) == 100
+        assert r.mask == rle.intervals(mask)
+        assert r.mask.area == 100
 
 
 class TestClampOnce:
