@@ -16,11 +16,11 @@ from pathlib import Path
 from .config import FeatureFlags, load_config
 from .errors import ConfigError, LlmUnavailable, PipelineError
 from .ingestion import (
-    DatasetRegistry,
     group_by_image,
     load_bundle,
     load_id_map,
     load_manifest,
+    load_registry,
     open_input,
     write_manifest,
 )
@@ -36,7 +36,7 @@ EXIT_RUNTIME = 4
 
 
 def _cmd_ingest(args) -> int:
-    registry = DatasetRegistry.from_config(args.registry)
+    registry = load_registry(args.registry)
     id_map = load_id_map(args.id_map) if args.id_map else None
     warnings: list[str] = []
 
@@ -49,7 +49,7 @@ def _cmd_ingest(args) -> int:
         return warn
 
     def all_bundles():
-        for desc in registry:
+        for desc in registry.values():
             prefix = f"manifest {desc.manifest_path}, "
             yield from load_manifest(desc.manifest_path, warn_at(prefix))
 
@@ -60,7 +60,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    registry = DatasetRegistry.from_config(args.registry) if args.registry else None
+    registry = load_registry(args.registry) if args.registry else None
     id_map = load_id_map(args.id_map) if args.id_map else None
     skipped: list[dict] = []
     paths = plan_shards(
@@ -110,7 +110,7 @@ def _cmd_tree(args) -> int:
     ingest rejects is a config error naming its line."""
     params = SceneTreeParams()
     if args.config:
-        params = load_config(args.config, check_paths=False).scene
+        params = load_config(args.config).scene
 
     def warn(warning: dict) -> None:
         print(f"warning: {warning['reason']}", file=sys.stderr)

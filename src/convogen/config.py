@@ -111,18 +111,11 @@ def config_from_dict(data: dict) -> PipelineConfig:
     return cfg
 
 
-def load_config(path: str | Path, check_paths: bool = True) -> PipelineConfig:
-    """Parse and validate the config document; all referenced paths must
-    exist at startup."""
+def load_config(path: str | Path) -> PipelineConfig:
+    """Parse and validate the config document. The files it names are
+    checked by the code that opens them."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = config_from_dict(data)
-    if check_paths:
-        required = [cfg.manifest_path, str(Path(cfg.prompts_dir) / cfg.prompts_set)]
-        required += [cfg.scripted_fixtures] if cfg.scripted_fixtures else []
-        for ref in required:
-            if not ref or not Path(ref).exists():
-                raise ConfigError(f"referenced path does not exist: {ref!r}")
-    return cfg
+    return config_from_dict(data)

@@ -56,63 +56,44 @@ class LinkKey(NamedTuple):
         return f"{self.namespace}:{self.canonical_id}"
 
 
-class DatasetRegistry:
-    """Write-once mapping of dataset_id -> descriptor, frozen before the run."""
+def load_registry(path: str | Path) -> dict[str, DatasetDescriptor]:
+    """Read a JSON array of descriptor objects, each checked like a config
+    section, into a dict keyed by dataset id in the file's order.
 
-    def __init__(self):
-        self._by_id: dict[str, DatasetDescriptor] = {}
-
-    def register(self, desc: DatasetDescriptor) -> "DatasetRegistry":
+    A relative ``manifest_path`` resolves against the registry file's
+    directory, and the manifest must exist. An entry that repeats an
+    earlier one is kept once; a different descriptor under a registered id
+    raises DuplicateDataset.
+    """
+    try:
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read registry {path}: {exc}") from exc
+    if not isinstance(entries, list):
+        raise ConfigError("registry config must be a JSON array")
+    registry: dict[str, DatasetDescriptor] = {}
+    base = Path(path).parent
+    for entry in entries:
+        try:
+            desc = build_section(DatasetDescriptor, entry)
+        except ConfigError as exc:
+            raise ConfigError(f"registry {path}: {exc}") from exc
+        if desc.manifest_path and not Path(desc.manifest_path).is_absolute():
+            desc = replace(desc, manifest_path=str(base / desc.manifest_path))
         if not Path(desc.manifest_path).exists():
             raise ConfigError(f"manifest not found: {desc.manifest_path}")
-        existing = self._by_id.get(desc.dataset_id)
-        if existing is not None:
-            if existing == desc:
-                return self
+        if registry.setdefault(desc.dataset_id, desc) != desc:
             raise DuplicateDataset(
                 f"{desc.dataset_id!r} already registered with a different descriptor"
             )
-        self._by_id[desc.dataset_id] = desc
-        return self
-
-    def namespace_for(self, dataset_id: str) -> str:
-        desc = self._by_id.get(dataset_id)
-        return desc.link_namespace if desc else FILE_STEM
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __iter__(self) -> Iterator[DatasetDescriptor]:
-        return iter(self._by_id.values())
-
-    @classmethod
-    def from_config(cls, path: str | Path) -> "DatasetRegistry":
-        """Load a JSON array of descriptor objects, each checked like a
-        config section."""
-        try:
-            entries = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read registry {path}: {exc}") from exc
-        if not isinstance(entries, list):
-            raise ConfigError("registry config must be a JSON array")
-        registry = cls()
-        base = Path(path).parent
-        for entry in entries:
-            try:
-                desc = build_section(DatasetDescriptor, entry)
-            except ConfigError as exc:
-                raise ConfigError(f"registry {path}: {exc}") from exc
-            if desc.manifest_path and not Path(desc.manifest_path).is_absolute():
-                desc = replace(desc, manifest_path=str(base / desc.manifest_path))
-            registry.register(desc)
-        return registry
+    return registry
 
 
 def link_key(
     dataset_id: str,
     image_id: str,
     uri: str,
-    registry: Optional[DatasetRegistry] = None,
+    registry: Optional[dict[str, DatasetDescriptor]] = None,
     id_map: Optional[dict[tuple[str, str], str]] = None,
 ) -> LinkKey:
     """The canonical cross-dataset key of an image.
@@ -123,7 +104,8 @@ def link_key(
     the uri; any other namespace treats the dataset-provided image_id as
     canonical.
     """
-    namespace = registry.namespace_for(dataset_id) if registry else FILE_STEM
+    desc = registry.get(dataset_id) if registry else None
+    namespace = desc.link_namespace if desc else FILE_STEM
     mapped = id_map.get((dataset_id, image_id)) if id_map else None
     if mapped:
         canonical = mapped.strip().lower()
@@ -322,7 +304,7 @@ def _sorted_by_key(
 
 def group_by_image(
     records: Iterable[MetadataBundle],
-    registry: Optional[DatasetRegistry] = None,
+    registry: Optional[dict[str, DatasetDescriptor]] = None,
     id_map: Optional[dict[tuple[str, str], str]] = None,
     run_size: int = 50_000,
     on_warning: WarnFn = None,

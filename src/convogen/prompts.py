@@ -113,17 +113,14 @@ def parse_conversation(raw: str) -> list[tuple[str, str]]:
 def load_prompt_set(prompts_dir: str | Path, set_name: str) -> PromptDistribution:
     """Read ``<prompts_dir>/<set_name>/*.txt`` plus its distribution.json.
 
-    Any fault of the set (unreadable spec, missing file, a template without
+    Any fault of the set (a missing or unreadable file, a template without
     ``{context}`` or with an unknown placeholder, a bad weight, an entry key
     other than ``weight`` and ``requires``, a ``requires`` that is not a
     list of known origins) is a ConfigError, raised before any image runs.
     """
     base = Path(prompts_dir) / set_name
-    dist_path = base / "distribution.json"
-    if not dist_path.exists():
-        raise ConfigError(f"prompt set {set_name!r} missing {dist_path}")
     try:
-        spec = json.loads(dist_path.read_text(encoding="utf-8"))
+        spec = json.loads((base / "distribution.json").read_text(encoding="utf-8"))
         entries: list[tuple[PromptTemplate, float]] = []
         for template_id, value in spec.items():
             if isinstance(value, dict):
@@ -136,15 +133,12 @@ def load_prompt_set(prompts_dir: str | Path, set_name: str) -> PromptDistributio
                     raise ValueError(f"requires of {template_id!r} must be a list of origins")
             else:
                 weight, compat = value, frozenset()
-            body_path = base / f"{template_id}.txt"
-            if not body_path.exists():
-                raise ConfigError(f"template file missing: {body_path}")
             template = PromptTemplate(
                 template_id=template_id,
-                body=body_path.read_text(encoding="utf-8"),
+                body=(base / f"{template_id}.txt").read_text(encoding="utf-8"),
                 compat=compat,
             )
             entries.append((template, float(weight)))
         return PromptDistribution(entries=tuple(entries))
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad prompt set {set_name!r}: {exc}") from exc

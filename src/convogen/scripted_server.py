@@ -1,6 +1,6 @@
 """Deterministic stand-in for a chat-completion endpoint.
 
-Requests are answered by digest fixtures first, then by ordered fallback
+Requests are answered by digest fixtures first, then by ordered pattern
 rules (static text, canned fault statuses, or small built-in response
 programs), so whole pipeline runs reproduce offline. Identical ordered
 request streams always get identical response streams.
@@ -108,12 +108,21 @@ PROGRAMS: dict[str, Callable[[dict, str], str]] = {
 }
 
 
+def _entry(entry) -> tuple[int, str]:
+    """(status, content) of one response entry; its text is a string, as
+    the simulated latency and the reply need."""
+    if not isinstance(entry, dict):
+        return 200, str(entry)
+    if "status" in entry:
+        return int(entry["status"]), str(entry.get("body", ""))
+    return 200, str(entry.get("content", ""))
+
+
 class _Rule:
-    """One fixture rule; sequence consumption and match budgets are stateful."""
+    """One fixture rule, checked whole when it is built, so a request it
+    matches always gets its answer; sequences and budgets are stateful."""
 
     def __init__(self, spec: dict):
-        if "fallback" in spec:
-            spec = {"pattern": ".", "program": spec["fallback"]}
         self.digest: Optional[str] = spec.get("digest")
         self.pattern = re.compile(spec["pattern"]) if "pattern" in spec else None
         if self.digest is None and self.pattern is None:
@@ -122,16 +131,20 @@ class _Rule:
         if self.program is not None and self.program not in PROGRAMS:
             raise ValueError(f"unknown program {self.program!r}")
         if "responses" in spec:
-            self.entries = list(spec["responses"])
+            self.entries = [_entry(entry) for entry in spec["responses"]]
             if not self.entries:
                 raise ValueError("responses must be non-empty")
         elif "response" in spec:
-            self.entries = [spec["response"]]
+            self.entries = [_entry(spec["response"])]
         elif "status" in spec:
-            self.entries = [{"status": spec["status"], "body": spec.get("body", "")}]
-        else:
+            self.entries = [_entry(spec)]
+        elif self.program is not None:
             self.entries = None  # program-only rule
+        else:
+            raise ValueError(f"rule gives no response, responses, status or program: {spec}")
         self.times = spec.get("times")  # None = unlimited matches
+        if "times" in spec and (type(self.times) is not int or self.times < 1):
+            raise ValueError(f"times must be an int of at least 1, got {self.times!r}")
         self.cursor = 0
 
     def matches(self, digest: str, prompt: str) -> bool:
@@ -149,11 +162,7 @@ class _Rule:
             return 200, PROGRAMS[self.program](request, prompt)
         entry = self.entries[min(self.cursor, len(self.entries) - 1)]
         self.cursor += 1
-        if isinstance(entry, dict):
-            if "status" in entry:
-                return int(entry["status"]), entry.get("body", "")
-            return 200, entry.get("content", "")
-        return 200, str(entry)
+        return entry
 
 
 def load_fixture_file(path: str | Path) -> list[dict]:
@@ -249,6 +258,11 @@ class _Handler(socketserver.StreamRequestHandler):
             request = json.loads(body)
             messages = request["messages"]
         except (ValueError, KeyError, TypeError):
+            messages = None
+        # a list of objects, each content a string: what ``respond`` joins
+        if not isinstance(messages, list) or not all(
+            isinstance(m, dict) and isinstance(m.get("content", ""), str) for m in messages
+        ):
             return self._send(400, {"error": "bad request body"}, keep)
         # looked up per request: a caller may replace ``respond`` on the instance
         status, payload = self.server.owner.respond(request, messages)

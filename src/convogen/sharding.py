@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import AlreadyClaimed, ConfigError
-from .ingestion import DatasetRegistry, WarnFn, link_key, open_input
+from .ingestion import DatasetDescriptor, WarnFn, link_key, open_input
 
 
 def stable_shard(canonical_key: str, n: int) -> int:
@@ -38,7 +38,7 @@ def plan_shards(
     manifest_path: str | Path,
     n: int,
     out_dir: str | Path,
-    registry: Optional[DatasetRegistry] = None,
+    registry: Optional[dict[str, DatasetDescriptor]] = None,
     id_map: Optional[dict] = None,
     on_warning: WarnFn = None,
 ) -> list[Path]:
@@ -47,14 +47,16 @@ def plan_shards(
     Only the fields a link key is made of are read: the rest of a record is
     checked when its image runs. A line that is not a JSON record with
     those fields is left out and reported to ``on_warning`` with its line
-    number.
+    number. Two records with one link key would get one conversation id,
+    so a repeated key is a ConfigError, raised before any file is written.
     """
     if n < 1:
-        raise ValueError("shard count must be >= 1")
+        raise ConfigError(f"shard count {n} must be at least 1")
     shards: list[dict] = [
         {"shard_id": i, "manifest": str(manifest_path), "offsets": [], "keys": []}
         for i in range(n)
     ]
+    first_line: dict[str, int] = {}
     with open_input(manifest_path, "manifest", "rb") as fh:
         offset = 0
         for lineno, raw in enumerate(fh, 1):
@@ -68,6 +70,13 @@ def plan_shards(
                     if on_warning:
                         on_warning({"line": lineno, "reason": f"unparseable record: {exc!r}"})
                 else:
+                    first = first_line.setdefault(key, lineno)
+                    if first != lineno:
+                        raise ConfigError(
+                            f"manifest {manifest_path}, line {lineno}: link key {key} "
+                            f"repeats line {first} (plan what ingest grouped, with its "
+                            "registry and id map)"
+                        )
                     shard = shards[stable_shard(key, n)]
                     shard["offsets"].append(offset)
                     shard["keys"].append(key)

@@ -9,11 +9,11 @@ import pytest
 from convogen import rle
 from convogen.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_RUNTIME, main
 from convogen.ingestion import (
-    DatasetRegistry,
     group_by_image,
     link_key,
     load_id_map,
     load_manifest,
+    load_registry,
     write_manifest,
 )
 from convogen.metadata import record_line
@@ -127,8 +127,9 @@ class TestTree:
 
 def write_bad_input(tmp_path, flag: str, kind: str) -> Path:
     """The file for ``flag`` with one fault after a valid line 1: a non-JSON
-    line 2, an unknown program on line 2, an id-map row with a value that is
-    not a string or is blank on line 2, or no file at all."""
+    line 2, a rule on line 2 with an unknown program, no answer, a ``times``
+    or a ``status`` that is not an int, an id-map row with a value that is not a
+    string or is blank on line 2, or no file at all."""
     path = tmp_path / f"{kind}.jsonl"
     if flag == "--id-map":
         valid = {"dataset": "fixture", "image_id": "0000", "canonical_id": "x"}
@@ -137,6 +138,9 @@ def write_bad_input(tmp_path, flag: str, kind: str) -> Path:
     bad = {
         "non-json": "{not json",
         "unknown-program": json.dumps({"pattern": ".", "program": "no-such-program"}),
+        "no-answer": json.dumps({"pattern": "x"}),
+        "times-not-int": json.dumps({"pattern": ".", "response": "y", "times": "2"}),
+        "status-not-int": json.dumps({"pattern": ".", "responses": ["y", {"status": "x"}]}),
         "canonical-id-not-string": json.dumps(
             {"dataset": "fixture", "image_id": "0001", "canonical_id": 5}),
         "canonical-id-blank": json.dumps(
@@ -166,6 +170,9 @@ class TestInputFileFaults:
             ("plan", "--manifest", "missing"),
             ("run", "--scripted-fixtures", "non-json"),
             ("run", "--scripted-fixtures", "unknown-program"),
+            ("run", "--scripted-fixtures", "no-answer"),
+            ("run", "--scripted-fixtures", "times-not-int"),
+            ("run", "--scripted-fixtures", "status-not-int"),
             ("run", "--scripted-fixtures", "missing"),
             ("validate", "--manifest", "missing"),
             ("tree", "--manifest", "missing"),
@@ -277,6 +284,35 @@ class TestRun:
         )
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
         assert not list((tmp_path / "shards").glob("*.claim.*"))
+
+    @pytest.mark.parametrize("missing", ["prompt-set", "template", "fixtures"])
+    def test_missing_file_exits_two_naming_it_before_any_claim(self, tmp_path, capsys, missing):
+        # each file is checked by the code that opens it
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        prompts = tmp_path / "prompts"
+        (prompts / "bare").mkdir(parents=True)
+        (prompts / "bare" / "distribution.json").write_text(json.dumps({"turn": 1.0}))
+        overrides, named = {
+            "prompt-set": ({"prompts_set": "absent"}, prompts / "absent"),
+            "template": ({"prompts_set": "bare"}, prompts / "bare" / "turn.txt"),
+            "fixtures": ({"scripted_fixtures": str(tmp_path / "absent.jsonl")},
+                         tmp_path / "absent.jsonl"),
+        }[missing]
+        if missing != "fixtures":
+            overrides["prompts_dir"] = str(prompts)
+        config = write_config(tmp_path, manifest, **overrides)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert str(named) in capsys.readouterr().err
+        assert not list((tmp_path / "shards").glob("*.claim.*"))
+
+    def test_manifest_path_is_not_read(self, tmp_path, capsys):
+        # run reads the manifest each shard file names
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        config = write_config(tmp_path, tmp_path / "absent.jsonl")
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        assert "1 conversations from 1 images" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "section", [{"generation": None}, {"gateway": 5}, {"features": []}],
@@ -500,7 +536,7 @@ class TestIngest:
         assert main(["plan", "--manifest", str(grouped), "--shards", "3",
                      "--out-dir", str(tmp_path / "shards"), *linking]) == EXIT_OK
 
-        registry = DatasetRegistry.from_config(registry_path)
+        registry = load_registry(registry_path)
         id_map = load_id_map(id_map_path)
         sources = {}
         with open(grouped, encoding="utf-8") as fh:
@@ -579,6 +615,29 @@ class TestIngest:
         assert sorted(os.listdir(tmp_path)) == ["m.jsonl"]
         assert write_manifest(iter(bundles), out) == 3
         assert sorted(os.listdir(tmp_path)) == ["grouped.jsonl", "m.jsonl"]
+
+    def test_plan_refuses_a_repeated_link_key(self, tmp_path, capsys):
+        # two images that share a file stem, grouped apart by their coco ids,
+        # would share one conversation id if planned without the registry
+        records = [dict(rich_record(i), uri=f"{d}/img.jpg") for i, d in enumerate("ab")]
+        (tmp_path / "a.jsonl").write_text("".join(record_line(r) + "\n" for r in records))
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps([{"dataset_id": "fixture", "manifest_path": "a.jsonl",
+                                         "link_namespace": "coco"}]))
+        grouped = tmp_path / "grouped.jsonl"
+        assert main(["ingest", "--registry", str(registry), "--out", str(grouped)]) == EXIT_OK
+        assert main(["plan", "--manifest", str(grouped), "--shards", "2",
+                     "--out-dir", str(tmp_path / "shards")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"manifest {grouped}, line 2: link key file-stem:img repeats line 1" in err
+        assert not list(tmp_path.glob("shards/shard_*.json"))
+
+    def test_plan_refuses_a_shard_count_below_one(self, tmp_path, capsys):
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        assert main(["plan", "--manifest", str(manifest), "--shards", "0",
+                     "--out-dir", str(tmp_path / "shards")]) == EXIT_CONFIG
+        assert "shard count 0 must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "shards").exists()
 
     def test_conflicting_registry_exits_two(self, tmp_path):
         (tmp_path / "a.jsonl").write_text(record_line(rich_record(0)) + "\n")

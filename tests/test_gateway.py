@@ -30,6 +30,8 @@ from convogen.gateway import (
 from convogen.scripted_server import PROGRAMS, ScriptedLlmServer, load_fixture_file, request_digest
 
 
+ECHO_RULE = {"pattern": ".", "program": "echo-last-user"}
+
 _opened: list[LlmGateway] = []
 
 
@@ -263,6 +265,12 @@ def reply_text(body: bytes) -> str:
     return json.loads(body)["choices"][0]["message"]["content"]
 
 
+def closing_post(body: bytes) -> bytes:
+    """A chat-completion POST of ``body`` that asks to end its connection."""
+    return (b"POST /v1/chat/completions HTTP/1.1\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+
+
 MALFORMED_REQUESTS = {
     # a read of -1 bytes would wait for the end of the stream, that is, for the client
     "negative-content-length":
@@ -286,6 +294,10 @@ MALFORMED_REQUESTS = {
     "content-length-past-the-cap":
         (b"POST /v1/chat/completions HTTP/1.1\r\nExpect: 100-continue\r\n"
          b"Content-Length: %s\r\n\r\n" % (b"9" * 18), 413),
+    # framed, but ``messages`` is not a list of objects with string contents
+    "messages-of-strings": (closing_post(b'{"messages": ["x"]}'), 400),
+    "content-not-a-string": (closing_post(b'{"messages": [{"content": 5}]}'), 400),
+    "messages-a-string": (closing_post(b'{"messages": "abc"}'), 400),
 }
 
 
@@ -312,7 +324,7 @@ class TestScriptedServer:
         # each reply's id is its request number, taken before the latency sleep
         messages = [{"role": "user", "content": "hello"}]
         ids = []
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}],
+        with ScriptedLlmServer(fixtures=[ECHO_RULE],
                                latency_base_ms=20) as server:
             def call():
                 ids.append(server.respond({"messages": messages}, messages)[1]["id"])
@@ -339,7 +351,7 @@ class TestScriptedServer:
             )
 
         monkeypatch.setattr(scripted_server._Handler, "setup", recording_setup)
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+        with ScriptedLlmServer(fixtures=[ECHO_RULE]) as server:
             gw = gateway_for(server)
             assert gw.complete("one") == "one"
             assert gw.complete("two") == "two"
@@ -372,7 +384,7 @@ class TestScriptedServer:
             handler.wfile.write = lambda data: sent.append(bytes(data)) or write(data)
 
         monkeypatch.setattr(scripted_server._Handler, "setup", recording_setup)
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+        with ScriptedLlmServer(fixtures=[ECHO_RULE]) as server:
             gw = gateway_for(server)
             assert [gw.complete(f"call {i}") for i in range(10)] == [
                 f"call {i}" for i in range(10)]
@@ -386,20 +398,20 @@ class TestScriptedServer:
         chat_request("once", version=b"HTTP/1.0"), chat_request("once", b"Connection: close"),
     ], ids=["http-1.0", "connection-close"])
     def test_connection_ends_after_the_reply(self, request_bytes):
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+        with ScriptedLlmServer(fixtures=[ECHO_RULE]) as server:
             [(status, fields, body)] = parse_replies(talk(server, request_bytes))
         assert status == 200 and reply_text(body) == "once"
         assert fields[b"connection"] == b"close"
 
     def test_pipelined_requests_are_answered_in_order(self):
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+        with ScriptedLlmServer(fixtures=[ECHO_RULE]) as server:
             data = talk(server, chat_request("first") + chat_request("second"), half_close=True)
         assert [(status, reply_text(body)) for status, _, body in parse_replies(data)] == [
             (200, "first"), (200, "second")]
 
     def test_body_split_across_two_sends(self):
         request = chat_request("split body")
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+        with ScriptedLlmServer(fixtures=[ECHO_RULE]) as server:
             data = talk(server, request[:-10], request[-10:], half_close=True)
         [(status, _, body)] = parse_replies(data)
         assert status == 200 and reply_text(body) == "split body"
@@ -414,7 +426,7 @@ class TestScriptedServer:
     def test_expect_100_continue_gets_an_interim_reply(self):
         request = chat_request("large", b"Expect: 100-continue")
         head, body = request.split(b"\r\n\r\n", 1)
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+        with ScriptedLlmServer(fixtures=[ECHO_RULE]) as server:
             with socket.create_connection(server._httpd.server_address[:2], timeout=5) as sock:
                 sock.sendall(head + b"\r\n\r\n")
                 interim = sock.recv(65536)
@@ -430,7 +442,7 @@ class TestScriptedServer:
     def test_expect_100_continue_from_http_1_0_gets_no_interim_reply(self):
         # RFC 9110 section 10.1.1: the expectation is ignored from an HTTP/1.0 client
         request = chat_request("old", b"Expect: 100-continue", version=b"HTTP/1.0")
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+        with ScriptedLlmServer(fixtures=[ECHO_RULE]) as server:
             data = talk(server, request)
         assert data.startswith(b"HTTP/1.1 200")
         [(_, _, reply)] = parse_replies(data)
@@ -439,7 +451,7 @@ class TestScriptedServer:
     @pytest.mark.parametrize("request_bytes, status", MALFORMED_REQUESTS.values(),
                              ids=MALFORMED_REQUESTS.keys())
     def test_malformed_request_is_answered_then_closed(self, request_bytes, status, capsys):
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+        with ScriptedLlmServer(fixtures=[ECHO_RULE]) as server:
             [(got, fields, body)] = parse_replies(talk(server, request_bytes))
             assert server.stats()["requests"] == 0
         assert got == status and fields[b"connection"] == b"close"
@@ -447,7 +459,7 @@ class TestScriptedServer:
         assert capsys.readouterr().err == ""
 
     def test_client_hanging_up_mid_reply_is_quiet(self, capsys):
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}],
+        with ScriptedLlmServer(fixtures=[ECHO_RULE],
                                latency_base_ms=100) as server:
             ended = threading.Event()
             shutdown_request = server._httpd.shutdown_request
@@ -472,7 +484,7 @@ class TestScriptedServer:
                 gateway_for(server).complete("nothing matches")
 
     def test_echo_fallback(self):
-        with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+        with ScriptedLlmServer(fixtures=[ECHO_RULE]) as server:
             out = gateway_for(server).complete("echo me")
         assert out == "echo me"
 
@@ -544,6 +556,14 @@ class TestScriptedServer:
             got = [gw.complete("s") for _ in range(4)]
         assert got == ["a", "b", "b", "b"]
 
+    def test_response_text_that_is_not_a_string_is_served_as_one(self):
+        # the simulated latency and the reply both take the text as a string
+        fixtures = [{"pattern": "s", "responses": [{"content": 5}, 6]}]
+        with ScriptedLlmServer(fixtures=fixtures) as server:
+            gw = gateway_for(server)
+            got = [gw.complete("s") for _ in range(2)]
+        assert got == ["5", "6"]
+
 
 class TestTransport:
     def test_server_closing_after_every_response(self):
@@ -614,7 +634,7 @@ class TestTransport:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}]) as server:
+            with ScriptedLlmServer(fixtures=[ECHO_RULE]) as server:
                 gw = gateway_for(server, max_in_flight=4)
 
                 def worker(i):
@@ -685,7 +705,7 @@ class TestTransport:
         )
         served = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         served.load_cert_chain(cert, key)
-        server = ScriptedLlmServer(fixtures=[{"fallback": "echo-last-user"}])
+        server = ScriptedLlmServer(fixtures=[ECHO_RULE])
         server._httpd.socket = served.wrap_socket(server._httpd.socket, server_side=True)
         with server:
             url = server.url.replace("http://", "https://")

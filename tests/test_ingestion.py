@@ -8,12 +8,12 @@ from convogen.errors import ConfigError, DuplicateDataset
 from convogen.ingestion import (
     FILE_STEM,
     DatasetDescriptor,
-    DatasetRegistry,
     group_by_image,
     link_key,
     load_bundle,
     load_id_map,
     load_manifest,
+    load_registry,
     write_manifest,
 )
 from convogen.metadata import bundle_to_record
@@ -21,46 +21,51 @@ from convogen.metadata import bundle_to_record
 from conftest import make_box, make_bundle, make_image
 
 
-def descriptor(tmp_path, dataset_id, namespace=FILE_STEM):
+def entry(tmp_path, dataset_id, namespace=FILE_STEM) -> dict:
     manifest = tmp_path / f"{dataset_id}.jsonl"
     manifest.touch()
-    return DatasetDescriptor(
-        dataset_id=dataset_id, manifest_path=str(manifest), link_namespace=namespace
-    )
+    return {"dataset_id": dataset_id, "manifest_path": str(manifest), "link_namespace": namespace}
+
+
+def write_registry(tmp_path, entries: list) -> str:
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
 
 
 class TestRegistry:
     def test_register_two(self, tmp_path):
-        registry = DatasetRegistry()
-        registry.register(descriptor(tmp_path, "coco-captions"))
-        registry.register(descriptor(tmp_path, "visual-genome"))
-        assert len(registry) == 2
+        # a relative manifest path resolves against the registry's directory
+        (tmp_path / "visual-genome.jsonl").touch()
+        relative = {"dataset_id": "visual-genome", "manifest_path": "visual-genome.jsonl"}
+        registry = load_registry(write_registry(tmp_path, [entry(tmp_path, "coco-captions"),
+                                                           relative]))
+        assert type(registry) is dict
+        assert registry == {
+            name: DatasetDescriptor(name, str(tmp_path / f"{name}.jsonl"))
+            for name in ("coco-captions", "visual-genome")
+        }
 
     def test_idempotent_reregistration(self, tmp_path):
-        registry = DatasetRegistry()
-        desc = descriptor(tmp_path, "coco-captions")
-        registry.register(desc)
-        registry.register(desc)
-        assert len(registry) == 1
+        # a repeated entry is kept once, at its first position
+        coco = entry(tmp_path, "coco-captions")
+        registry = load_registry(write_registry(tmp_path, [coco, entry(tmp_path, "vg"), coco]))
+        assert list(registry) == ["coco-captions", "vg"]
 
     def test_conflicting_reregistration(self, tmp_path):
-        registry = DatasetRegistry()
-        registry.register(descriptor(tmp_path, "coco-captions"))
+        entries = [entry(tmp_path, "coco-captions"), entry(tmp_path, "coco-captions", "coco")]
         with pytest.raises(DuplicateDataset):
-            registry.register(descriptor(tmp_path, "coco-captions", namespace="coco"))
+            load_registry(write_registry(tmp_path, entries))
 
-    def test_missing_manifest_rejected(self):
-        with pytest.raises(ConfigError):
-            DatasetRegistry().register(
-                DatasetDescriptor(dataset_id="x", manifest_path="/nope/nothing.jsonl")
-            )
+    def test_missing_manifest_rejected(self, tmp_path):
+        entries = [{"dataset_id": "x", "manifest_path": "/nope/nothing.jsonl"}]
+        with pytest.raises(ConfigError, match="manifest not found: /nope/nothing.jsonl"):
+            load_registry(write_registry(tmp_path, entries))
 
 
-def registry_of(tmp_path, namespaces: dict[str, str]) -> DatasetRegistry:
-    registry = DatasetRegistry()
-    for dataset_id, namespace in namespaces.items():
-        registry.register(descriptor(tmp_path, dataset_id, namespace))
-    return registry
+def registry_of(namespaces: dict[str, str]) -> dict[str, DatasetDescriptor]:
+    return {dataset_id: DatasetDescriptor(dataset_id, f"{dataset_id}.jsonl", namespace)
+            for dataset_id, namespace in namespaces.items()}
 
 
 def key_of(image, registry=None, id_map=None):
@@ -80,13 +85,13 @@ class TestLinkKey:
         image = make_image()
         assert key_of(image) == key_of(image)
 
-    def test_shared_id_namespace(self, tmp_path):
+    def test_shared_id_namespace(self):
         a = make_image(image_id="123", dataset="ds-a", uri="a/path1.jpg")
         b = make_image(image_id="123", dataset="ds-b", uri="b/path2.jpg")
-        registry = registry_of(tmp_path, {"ds-a": "coco", "ds-b": "coco"})
+        registry = registry_of({"ds-a": "coco", "ds-b": "coco"})
         assert key_of(a, registry) == key_of(b, registry)
 
-    def test_three_dataset_equality_table(self, tmp_path):
+    def test_three_dataset_equality_table(self):
         # datasets A and B share stems for two images; C links to A via the
         # coco id namespace. Oracle: brute-force expected pairwise equality.
         images = {
@@ -96,7 +101,7 @@ class TestLinkKey:
             ("B", "2"): make_image("8", "B", uri="b/only_b.jpg"),
             ("C", "1"): make_image("9", "C", uri="c/random_name.jpg"),
         }
-        registry = registry_of(tmp_path, {"A": FILE_STEM, "B": FILE_STEM, "C": "coco"})
+        registry = registry_of({"A": FILE_STEM, "B": FILE_STEM, "C": "coco"})
         keys = {who: key_of(img, registry) for who, img in images.items()}
         expected_equal = {
             frozenset({("A", "1"), ("B", "1")}),  # same stem
@@ -114,7 +119,7 @@ class TestLinkKey:
         )
         id_map = load_id_map(path)
         image = make_image("1", "A", uri="whatever/zzz.jpg")
-        registry = registry_of(tmp_path, {"A": "coco"})
+        registry = registry_of({"A": "coco"})
         assert key_of(image, registry, id_map).canonical_id == "canon-7"
 
 
