@@ -42,7 +42,6 @@ _PLURAL_TO_SINGULAR = (
     ("sses", "ss"),
     ("xes", "x"),
     ("zes", "z"),
-    ("s", ""),
 )
 
 
@@ -54,13 +53,12 @@ def normalize_label(label: str) -> str:
         return ""
     last = words[-1]
     for suffix, repl in _PLURAL_TO_SINGULAR:
-        if suffix == "s":
-            if len(last) > 3 and last.endswith("s") and not last.endswith(("ss", "us", "is")):
-                last = last[:-1]
-            break
         if last.endswith(suffix) and len(last) > len(suffix) + 1:
             last = last[: -len(suffix)] + repl
             break
+    else:
+        if len(last) > 3 and last.endswith("s") and not last.endswith(("ss", "us", "is")):
+            last = last[:-1]
     return " ".join(words[:-1] + [last])
 
 
@@ -87,8 +85,6 @@ class SceneRegion:
     area: float = 0.0           # derived when left at 0: mask area, else bbox area
 
     def __post_init__(self):
-        object.__setattr__(self, "bbox", tuple(map(float, self.bbox)))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
         if self.area <= 0:
             _, _, w, h = self.bbox
             area = float(self.mask.area) if self.mask else w * h
@@ -117,14 +113,6 @@ class OverlapStats(NamedTuple):
     center_dist_norm: float  # center distance / mean bbox diagonal
 
 
-def _bbox_intersection(a: Bbox, b: Bbox) -> float:
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    iw = min(ax + aw, bx + bw) - max(ax, bx)
-    ih = min(ay + ah, by + bh) - max(ay, by)
-    return max(iw, 0.0) * max(ih, 0.0)
-
-
 def _center_dist(a: SceneRegion, b: SceneRegion) -> float:
     """Distance of the bbox centers over the mean bbox diagonal."""
     ax, ay, aw, ah = a.bbox
@@ -134,17 +122,21 @@ def _center_dist(a: SceneRegion, b: SceneRegion) -> float:
     return dist / mean_diag if mean_diag > 0 else 0.0
 
 
+def _intersection(a: SceneRegion, b: SceneRegion) -> tuple[float, float, float]:
+    """(|a ∩ b|, |a|, |b|): over the masks when both regions carry one, else
+    over the boxes. Masks on different image grids raise ``ValueError``."""
+    if a.mask and b.mask:
+        return float(rle.overlap(a.mask, b.mask)), float(a.mask.area), float(b.mask.area)
+    ax, ay, aw, ah = a.bbox
+    bx, by, bw, bh = b.bbox
+    iw = min(ax + aw, bx + bw) - max(ax, bx)
+    ih = min(ay + ah, by + bh) - max(ay, by)
+    return max(iw, 0.0) * max(ih, 0.0), aw * ah, bw * bh
+
+
 def overlap_stats(a: SceneRegion, b: SceneRegion) -> OverlapStats:
     """Pairwise overlap; mask-based when both regions carry masks."""
-    if a.mask and b.mask:
-        # raises ValueError when the masks come from different image grids
-        inter = float(rle.overlap(a.mask, b.mask))
-        area_a = float(a.mask.area)
-        area_b = float(b.mask.area)
-    else:
-        inter = _bbox_intersection(a.bbox, b.bbox)
-        area_a = a.bbox[2] * a.bbox[3]
-        area_b = b.bbox[2] * b.bbox[3]
+    inter, area_a, area_b = _intersection(a, b)
     union = area_a + area_b - inter
     iou = inter / union if union > 0 else 0.0
     containment = inter / area_a if area_a > 0 else 0.0
@@ -167,22 +159,6 @@ def region_sort_key(r: SceneRegion):
         r.members,
         r.mask or (),
     )
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
 
 
 def _mergeable(a: SceneRegion, b: SceneRegion, p: SceneTreeParams) -> bool:
@@ -245,15 +221,23 @@ def merge_duplicates(regions: list[SceneRegion], p: SceneTreeParams) -> list[Sce
     by_label: dict[str, list[int]] = {}
     for i, region in enumerate(ordered):
         by_label.setdefault(region.label, []).append(i)
-    uf = _UnionFind(len(ordered))
+    parent = list(range(len(ordered)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]  # path halving
+            i = parent[i]
+        return i
+
     for bucket in by_label.values():
         for k, i in enumerate(bucket):
             for j in bucket[k + 1:]:
                 if _mergeable(ordered[i], ordered[j], p):
-                    uf.union(i, j)
+                    ri, rj = find(i), find(j)
+                    parent[max(ri, rj)] = min(ri, rj)  # a component's root is its first region
     components: dict[int, list[SceneRegion]] = {}
     for i, region in enumerate(ordered):
-        components.setdefault(uf.find(i), []).append(region)
+        components.setdefault(find(i), []).append(region)
     merged = [_merge_component(group) for group in components.values()]
     return sorted(merged, key=region_sort_key)
 
@@ -280,12 +264,8 @@ def _contains(outer: SceneRegion, inner: SceneRegion, t_c: float) -> bool:
         ih = (a.y1 if a.y1 < b.y1 else b.y1) - (a.y0 if a.y0 > b.y0 else b.y0)
         if ih <= 0 or float(iw * ih) / a.area < t_c:
             return False
-        return float(rle.overlap(a, b)) / a.area >= t_c
-    x, y, w, h = inner.bbox
-    ox, oy, ow, oh = outer.bbox
-    iw = min(x + w, ox + ow) - max(x, ox)
-    ih = min(y + h, oy + oh) - max(y, oy)
-    return w * h > 0 and max(iw, 0.0) * max(ih, 0.0) / (w * h) >= t_c
+    inter, area, _ = _intersection(inner, outer)
+    return area > 0 and inter / area >= t_c
 
 
 def build_tree(regions: list[SceneRegion], p: SceneTreeParams) -> list[TreeNode]:
@@ -327,13 +307,8 @@ def _count_descriptor(total: int, p: SceneTreeParams) -> str:
 
 def _sibling_key(node: TreeNode):
     r = node.region
-    return (
-        r.depth_mean is None,       # nearest (smallest depth) first, unknown last
-        r.depth_mean or 0.0,
-        -r.area,
-        r.label,
-        region_sort_key(r),
-    )
+    # nearest (smallest depth) first, unknown last, then the canonical order
+    return (r.depth_mean is None, r.depth_mean or 0.0, *region_sort_key(r))
 
 
 def group_and_count(nodes: list[TreeNode], p: SceneTreeParams) -> list[TreeNode]:
