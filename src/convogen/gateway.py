@@ -163,6 +163,12 @@ def read_fields(reader) -> dict[bytes, bytes]:
     raise WireError(f"more than {MAX_FIELDS} fields")
 
 
+def keeps_alive(version: bytes, fields: dict[bytes, bytes]) -> bool:
+    """HTTP/1.1 without ``Connection: close`` keeps the connection open
+    (RFC 9112 section 9.3); HTTP/1.0 closes it."""
+    return version == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
+
+
 class _Connection:
     """One HTTP/1.1 connection: a socket and a buffered reader of its replies."""
 
@@ -196,7 +202,7 @@ class _Connection:
             if status >= 200:
                 break
             line = read_line(reader)
-        keep = version == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
+        keep = keeps_alive(version, fields)
         coding = fields.get(b"transfer-encoding", b"").lower()
         if status in (204, 304):
             return status, b"", keep

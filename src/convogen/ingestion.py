@@ -32,7 +32,8 @@ from .metadata import (
 
 FILE_STEM = "file-stem"
 
-WarnFn = Optional[Callable[[dict], None]]
+WarnFn = Callable[[dict], None]
+ignore_warning: WarnFn = lambda warning: None  # the sink of a caller that passes none
 
 
 @dataclass(frozen=True)
@@ -167,13 +168,12 @@ def _apply_sidecar(record: dict, base_dir: Optional[Path], on_warning: WarnFn) -
         extra = json.loads(path.read_text(encoding="utf-8"))
         by_index = {int(e["index"]): e for e in extra.get("boxes", [])}
     except (OSError, ValueError, KeyError) as exc:
-        if on_warning:
-            on_warning(
-                {
-                    "image_id": str(record.get("image_id", "?")),
-                    "reason": f"unreadable sidecar {sidecar}: {exc}",
-                }
-            )
+        on_warning(
+            {
+                "image_id": str(record.get("image_id", "?")),
+                "reason": f"unreadable sidecar {sidecar}: {exc}",
+            }
+        )
         return record
     record = dict(record)
     boxes = []
@@ -191,7 +191,7 @@ def _apply_sidecar(record: dict, base_dir: Optional[Path], on_warning: WarnFn) -
 
 
 def load_bundle(
-    record: dict, on_warning: WarnFn = None, base_dir: Optional[Path] = None
+    record: dict, on_warning: WarnFn = ignore_warning, base_dir: Optional[Path] = None
 ) -> MetadataBundle:
     """Parse a manifest record and apply the box admission policy.
 
@@ -215,30 +215,30 @@ def load_bundle(
             except ValueError:
                 ok = False
             if not ok:
-                if on_warning:
-                    on_warning(
-                        {
-                            "image_id": image.image_id,
-                            "reason": f"invalid mask on box {box.label!r}, mask dropped",
-                        }
-                    )
+                on_warning(
+                    {
+                        "image_id": image.image_id,
+                        "reason": f"invalid mask on box {box.label!r}, mask dropped",
+                    }
+                )
                 box = replace(box, mask_rle=None)
         try:
             kept.append(clamp_box(box, image))
         except DegenerateBox:
-            if on_warning:
-                on_warning(
-                    {
-                        "image_id": image.image_id,
-                        "reason": f"box {box.label!r} {box.bbox} fully outside image, dropped",
-                    }
-                )
+            on_warning(
+                {
+                    "image_id": image.image_id,
+                    "reason": f"box {box.label!r} {box.bbox} fully outside image, dropped",
+                }
+            )
     return MetadataBundle(
         image=image, captions=bundle.captions, boxes=tuple(kept), qas=bundle.qas
     )
 
 
-def load_manifest(path: str | Path, on_warning: WarnFn = None) -> Iterator[MetadataBundle]:
+def load_manifest(
+    path: str | Path, on_warning: WarnFn = ignore_warning
+) -> Iterator[MetadataBundle]:
     """Stream bundles from a unified JSONL manifest, skipping bad lines.
 
     Whatever a line raises makes it that line's warning, never the
@@ -253,8 +253,7 @@ def load_manifest(path: str | Path, on_warning: WarnFn = None) -> Iterator[Metad
             try:
                 bundle = load_bundle(json.loads(line), on_warning, base_dir=base_dir)
             except Exception as exc:
-                if on_warning:
-                    on_warning({"line": lineno, "reason": f"unparseable record: {exc!r}"})
+                on_warning({"line": lineno, "reason": f"unparseable record: {exc!r}"})
                 continue
             yield bundle
 
@@ -307,7 +306,7 @@ def group_by_image(
     registry: Optional[dict[str, DatasetDescriptor]] = None,
     id_map: Optional[dict[tuple[str, str], str]] = None,
     run_size: int = 50_000,
-    on_warning: WarnFn = None,
+    on_warning: WarnFn = ignore_warning,
 ) -> Iterator[MetadataBundle]:
     """Merge bundles that resolve to the same link key.
 
@@ -326,8 +325,7 @@ def group_by_image(
             for _, bundle in group:
                 merged = bundle if merged is None else merge_bundles(merged, bundle)
         except DimensionConflict as exc:
-            if on_warning:
-                on_warning({"image_id": str(key), "reason": f"image dropped: {exc}"})
+            on_warning({"image_id": str(key), "reason": f"image dropped: {exc}"})
             continue
         yield merged
 

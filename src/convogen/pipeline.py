@@ -238,7 +238,7 @@ class _OpenShard:
         self.manifest = self.held.enter_context(open_input(shard["manifest"], "manifest"))
         self.conv_out = self.held.enter_context(open(conv_path, "a", encoding="utf-8"))
         self.tree_out = self.held.enter_context(open(tree_path, "a", encoding="utf-8"))
-        self.base_dir = Path(shard["manifest"]).resolve().parent
+        self.base_dir = Path(shard["manifest"]).parent
         self.todo: deque[tuple[int, str, int, str]] = deque()
         for offset, key in zip(shard["offsets"], shard["keys"]):
             seed = image_seed(cfg.rng_seed, key)

@@ -19,7 +19,9 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import ConfigError
-from .gateway import MAX_BODY, WireError, parse_length, read_exact, read_fields, read_line
+from .gateway import (
+    MAX_BODY, WireError, keeps_alive, parse_length, read_exact, read_fields, read_line,
+)
 from .ingestion import open_input
 
 _NUMBERED = re.compile(r"^\s*(\d+)\.\s+(.*\S)\s*$", re.MULTILINE)
@@ -247,7 +249,7 @@ class _Handler(socketserver.StreamRequestHandler):
             body = read_exact(self.rfile, length)
         except WireError as exc:
             return self._send(400, {"error": str(exc)}, False)
-        keep = version == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
+        keep = keeps_alive(version, fields)
         if method == b"GET":
             return self._send(200, {"ok": True}, keep)
         if method != b"POST":

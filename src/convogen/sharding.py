@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import AlreadyClaimed, ConfigError
-from .ingestion import DatasetDescriptor, WarnFn, link_key, open_input
+from .ingestion import DatasetDescriptor, WarnFn, ignore_warning, link_key, open_input
 
 
 def stable_shard(canonical_key: str, n: int) -> int:
@@ -40,7 +40,7 @@ def plan_shards(
     out_dir: str | Path,
     registry: Optional[dict[str, DatasetDescriptor]] = None,
     id_map: Optional[dict] = None,
-    on_warning: WarnFn = None,
+    on_warning: WarnFn = ignore_warning,
 ) -> list[Path]:
     """Partition records by link-key hash mod n into shard index files.
 
@@ -53,7 +53,7 @@ def plan_shards(
     if n < 1:
         raise ConfigError(f"shard count {n} must be at least 1")
     shards: list[dict] = [
-        {"shard_id": i, "manifest": str(manifest_path), "offsets": [], "keys": []}
+        {"shard_id": i, "manifest": str(Path(manifest_path).resolve()), "offsets": [], "keys": []}
         for i in range(n)
     ]
     first_line: dict[str, int] = {}
@@ -67,8 +67,7 @@ def plan_shards(
                     key = str(link_key(record["dataset"], str(record["image_id"]),
                                        record["uri"], registry, id_map))
                 except Exception as exc:
-                    if on_warning:
-                        on_warning({"line": lineno, "reason": f"unparseable record: {exc!r}"})
+                    on_warning({"line": lineno, "reason": f"unparseable record: {exc!r}"})
                 else:
                     first = first_line.setdefault(key, lineno)
                     if first != lineno:

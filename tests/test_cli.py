@@ -402,6 +402,26 @@ class TestRun:
         claim = json.loads((tmp_path / "shards" / "shard_00000.json.claim.1").read_text())
         assert claim["released"] is True
 
+    def test_shards_planned_from_a_relative_manifest_run_from_any_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the shard file names its manifest by absolute path
+        planning, elsewhere = tmp_path / "planning", tmp_path / "elsewhere"
+        planning.mkdir()
+        elsewhere.mkdir()
+        write_fixture_manifest(planning / "m.jsonl", 3)
+        monkeypatch.chdir(planning)
+        assert main(["plan", "--manifest", "m.jsonl", "--shards", "1",
+                     "--out-dir", str(tmp_path / "shards")]) == EXIT_OK
+        conversations = {}
+        for cwd in (elsewhere, planning):
+            monkeypatch.chdir(cwd)
+            config = write_config(cwd, planning / "m.jsonl", shard_dir=str(tmp_path / "shards"))
+            assert main(["run", "--config", str(config)]) == EXIT_OK, capsys.readouterr().err
+            assert "3 conversations" in capsys.readouterr().out
+            conversations[cwd] = (cwd / "out" / "conversations_shard_00000.jsonl").read_bytes()
+        assert conversations[elsewhere] == conversations[planning]
+
     def test_unreachable_live_endpoint_exits_three(self, tmp_path):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
         from convogen.sharding import plan_shards
