@@ -12,27 +12,32 @@ and fields as ``http.client`` does, takes a length only as 1-18 decimal
 or 1-16 hex digits and a body only up to ``MAX_BODY`` bytes;
 ``scripted_server`` reads requests with the same ``read_line``,
 ``read_fields``, ``parse_length`` and ``read_exact``.
-``https`` is verified against the system's CA certificates; proxy
-settings are not read. At most ``max_in_flight`` keep-alive connections
-are pooled. A pooled one that the server closed while idle is sent once
-more on a fresh connection, which is not a retry (RFC 9112 section
-9.3.1); any other failure spends the budget.
+``https`` is verified against the system's CA certificates, and ``ssl``
+is imported only for it; proxy settings are not read. ``timeout_s`` is a
+deadline for each attempt, from its send to the reply's last byte, kept to
+10 ms. At most ``max_in_flight`` keep-alive connections are pooled. A
+pooled one that the server closed while idle is sent once more on a fresh
+connection, which is not a retry (RFC 9112 section 9.3.1); any other
+failure spends the budget.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import socket
-import ssl
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 from urllib.parse import urlsplit
 
 from .errors import LlmUnavailable, ProtocolError
+
+if TYPE_CHECKING:
+    import ssl
 
 TRANSIENT_STATUSES = {429, 500, 502, 503, 504}
 
@@ -101,9 +106,11 @@ def _endpoint(url: str) -> tuple[bool, str, Optional[int], str]:
 
 
 def _tls_context(tls: bool) -> Optional[ssl.SSLContext]:
-    context = ssl.create_default_context() if tls else None  # checks certificate and host
-    if context is not None:
-        context.set_alpn_protocols(["http/1.1"])
+    if not tls:
+        return None
+    import ssl  # only here: a plain-HTTP worker never maps the TLS library
+    context = ssl.create_default_context()  # checks certificate and host
+    context.set_alpn_protocols(["http/1.1"])
     return context
 
 
@@ -169,6 +176,25 @@ def keeps_alive(version: bytes, fields: dict[bytes, bytes]) -> bool:
     return version == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
 
 
+class _DeadlineReader(io.RawIOBase):
+    """A socket's reads, none waiting past ``deadline`` (monotonic) by more than 10 ms."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.deadline = 0.0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("no whole reply within the deadline")
+        if self.sock.gettimeout() > left + 0.01:  # settimeout hands the GIL over: only if due
+            self.sock.settimeout(left)
+        return self.sock.recv_into(buffer)
+
+
 class _Connection:
     """One HTTP/1.1 connection: a socket and a buffered reader of its replies."""
 
@@ -178,7 +204,8 @@ class _Connection:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # a failed handshake closes the socket, which the TLS socket has taken over
         self.sock = tls.wrap_socket(sock, server_hostname=host) if tls else sock
-        self.reader = self.sock.makefile("rb")
+        self.timeout_s = timeout_s
+        self.reader = io.BufferedReader(_DeadlineReader(self.sock))
 
     def close(self) -> None:
         self.reader.close()
@@ -187,7 +214,10 @@ class _Connection:
     def exchange(self, request: bytes) -> tuple[int, bytes, bool]:
         """Send a whole request; the final reply's status, body and keep-alive."""
         reader = self.reader
+        reader.raw.deadline = time.monotonic() + self.timeout_s  # else TimeoutError
         try:
+            if self.sock.gettimeout() != self.timeout_s:  # a read cut it short
+                self.sock.settimeout(self.timeout_s)
             self.sock.sendall(request)
             line = read_line(reader)
         except (BrokenPipeError, ConnectionResetError) as exc:

@@ -5,14 +5,17 @@ alternate background/foreground, starting with background. Runs must sum
 to ``w * h``, so grid dimensions are always checkable.
 
 Areas, intersections and unions are computed on the runs themselves, as
-sorted foreground intervals in flat (row-major) index space held in
-tuples of ints; no ``height x width`` grid is built for them. Each parsed
-mask also keeps its pixel extent, so a caller can rule a pair out by
-extent before it walks any runs, as pycocotools' ``rleIou`` does by box.
+sorted foreground intervals in flat (row-major) index space, each bound
+packed as a big-endian 8-byte int (a tuple of ints takes about 36) whose
+bytes compare as the int does; no ``height x width`` grid is built. Each
+parsed mask also keeps its pixel extent, so a caller can rule a pair out
+by extent before it walks any runs, as pycocotools' ``rleIou`` does by box.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
@@ -39,17 +42,34 @@ def _parse(rle: str) -> tuple[int, int, list[int]]:
     return width, height, runs
 
 
+def _packed(values: Iterable[int]) -> bytes:
+    """Bounds of 0 or more as big-endian 8-byte ints: the bytes compare as the ints do."""
+    out = array("q", values)
+    if sys.byteorder == "little":
+        out.byteswap()
+    return out.tobytes()
+
+
+def _ints(packed: bytes) -> array:
+    """The bounds that ``_packed`` wrote."""
+    out = array("q", packed)
+    if sys.byteorder == "little":
+        out.byteswap()
+    return out
+
+
 class Intervals(NamedTuple):
     """Foreground of one mask as sorted, disjoint, non-touching half-open
-    intervals ``[starts[k], ends[k])`` of flat pixel indices; ``area``, the
+    intervals ``[starts[k], ends[k])`` of flat pixel indices, each packed by
+    ``_packed`` (``b""`` for an empty mask); ``area``, the
     mask's foreground pixel count; and its pixel extent ``[x0, x1) x [y0, y1)``,
     the smallest box that holds every foreground pixel (all zeros when the
     mask is empty)."""
 
     width: int
     height: int
-    starts: tuple[int, ...]
-    ends: tuple[int, ...]
+    starts: bytes
+    ends: bytes
     area: int
     x0: int
     y0: int
@@ -61,7 +81,7 @@ class Intervals(NamedTuple):
 def intervals(rle: str) -> Intervals:
     """Parse a mask once into its foreground intervals and pixel extent.
 
-    Results are cached; they are tuples, so they cannot be mutated.
+    Results are cached; they hold only ints and bytes, so they cannot be mutated.
     Zero-length runs, a leading foreground run and a trailing background
     run of 0 are all accepted, and two masks with the same pixels give
     equal intervals.
@@ -84,7 +104,7 @@ def intervals(rle: str) -> Intervals:
                 joined_ends.append(end)
         starts, ends = joined_starts, joined_ends
     if not starts:
-        return Intervals(width, height, (), (), 0, 0, 0, 0, 0)
+        return Intervals(width, height, b"", b"", 0, 0, 0, 0, 0)
     area = sum(ends) - sum(starts)
     # the extent's columns by C-level maps, not a Python loop per interval
     start_cols = list(map(mod, starts, repeat(width)))
@@ -97,7 +117,7 @@ def intervals(rle: str) -> Intervals:
         x0, x1 = min(start_cols), width if row_ends else max(end_cols)
     else:
         x0, x1 = 0, width
-    return Intervals(width, height, tuple(starts), tuple(ends), area,
+    return Intervals(width, height, _packed(starts), _packed(ends), area,
                      x0, starts[0] // width, x1, (ends[-1] - 1) // width + 1)
 
 
@@ -119,11 +139,11 @@ def overlap(ia: Intervals, ib: Intervals) -> int:
     same_grid(ia, ib)
     if not ia.ends or not ib.ends:
         return 0
-    lo = max(ia.starts[0], ib.starts[0])
-    hi = min(ia.ends[-1], ib.ends[-1])
+    starts_a, ends_a, starts_b, ends_b = map(_ints, (ia.starts, ia.ends, ib.starts, ib.ends))
+    lo = max(starts_a[0], starts_b[0])
+    hi = min(ends_a[-1], ends_b[-1])
     if lo >= hi:
         return 0  # the flat extents are disjoint
-    starts_a, ends_a, starts_b, ends_b = ia.starts, ia.ends, ib.starts, ib.ends
     # only intervals that end past lo and start before hi can overlap
     i, j = bisect_right(ends_a, lo), bisect_right(ends_b, lo)
     stop_i, stop_j = bisect_left(starts_a, hi), bisect_left(starts_b, hi)
@@ -153,13 +173,13 @@ def union(parsed: Sequence[Intervals]) -> Intervals:
         return parsed[0]
     # with starts and ends sorted apart, the union has a gap after the k-th
     # end exactly where it comes before the (k+1)-th start
-    starts = sorted(chain.from_iterable(iv.starts for iv in present))
-    ends = sorted(chain.from_iterable(iv.ends for iv in present))
+    starts = sorted(chain.from_iterable(_ints(iv.starts) for iv in present))
+    ends = sorted(chain.from_iterable(_ints(iv.ends) for iv in present))
     gaps = list(map(lt, ends, islice(starts, 1, None)))
     starts = (starts[0], *compress(islice(starts, 1, None), gaps))
     ends = (*compress(ends, gaps), ends[-1])
     return Intervals(
-        parsed[0].width, parsed[0].height, starts, ends, sum(ends) - sum(starts),
+        parsed[0].width, parsed[0].height, _packed(starts), _packed(ends), sum(ends) - sum(starts),
         min(iv.x0 for iv in present), min(iv.y0 for iv in present),
         max(iv.x1 for iv in present), max(iv.y1 for iv in present),
     )

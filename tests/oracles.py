@@ -1,5 +1,7 @@
 """Grid-based test oracles for the interval arithmetic in ``convogen.rle``."""
 
+import struct
+
 import numpy as np
 
 
@@ -18,9 +20,14 @@ def encode(mask: np.ndarray) -> str:
     return f"{width}x{height}:" + " ".join(str(r) for r in runs)
 
 
+def bounds(packed: bytes) -> tuple[int, ...]:
+    """Interval bounds as ``rle.Intervals`` packs them: big-endian 8-byte ints."""
+    return struct.unpack(">%dq" % (len(packed) // 8), packed)
+
+
 def grid(iv) -> np.ndarray:
     """Paint parsed ``rle.Intervals`` onto a (height, width) bool array."""
     flat = np.zeros(iv.width * iv.height, dtype=bool)
-    for start, end in zip(iv.starts, iv.ends):
+    for start, end in zip(bounds(iv.starts), bounds(iv.ends)):
         flat[start:end] = True
     return flat.reshape(iv.height, iv.width)

@@ -678,6 +678,50 @@ class TestTransport:
             b"POST /v1/chat/completions HTTP/1.1\r\nHost: 127.0.0.1:" + port
             + b"\r\nAccept-Encoding: identity\r\n")
 
+    @pytest.mark.parametrize("retry_budget", [0, 1])
+    def test_a_reply_dripped_past_the_deadline_spends_the_budget(self, retry_budget):
+        # one byte per 20 ms: every read is well within timeout_s, the whole
+        # reply is not, and each attempt gets its own deadline
+        reply = with_length(completion("ok"))
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+        stop, accepted = threading.Event(), []
+
+        def drip():
+            for _ in range(retry_budget + 1):
+                conn, _ = listener.accept()
+                accepted.append(conn)
+                with conn:
+                    conn.recv(65536)  # the request
+                    for i in range(len(reply)):
+                        if stop.is_set():
+                            return
+                        try:
+                            conn.sendall(reply[i:i + 1])
+                        except OSError:
+                            break  # the client gave up on this connection
+                        time.sleep(0.02)
+
+        dripper = threading.Thread(target=drip)
+        dripper.start()
+        try:
+            port = listener.getsockname()[1]
+            gw = LlmGateway(GatewayConfig(endpoint_url=f"http://127.0.0.1:{port}",
+                                          retry_budget=retry_budget, backoff_base_ms=1,
+                                          timeout_s=0.5))
+            _opened.append(gw)
+            started = time.monotonic()
+            with pytest.raises(LlmUnavailable, match="transport error: TimeoutError"):
+                gw.complete("drip")
+            assert time.monotonic() - started < 1.0 * (retry_budget + 1)
+        finally:
+            stop.set()
+            dripper.join(timeout=10)
+            listener.close()
+        assert not dripper.is_alive()
+        assert len(accepted) == retry_budget + 1  # an expired connection is not pooled
+        assert gw.metrics_snapshot()["retries"] == retry_budget
+
     def test_complete_sends_one_user_message_and_a_seed_only_when_given(self):
         replies = [with_length(completion("one")), with_length(completion("two"))]
         with RawServer([replies]) as server:

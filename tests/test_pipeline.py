@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -34,7 +37,7 @@ from convogen.sharding import (
     plan_shards,
 )
 
-from conftest import PROMPTS_DIR, make_image
+from conftest import PROMPTS_DIR, REPO_ROOT, make_image
 from killed_worker import KILL_POINTS, assert_same_as_clean, run_killed_worker
 from test_gateway import ConnectionLog
 
@@ -167,6 +170,22 @@ class TestRunPipeline:
         assert summary["errors"] == 0
         for line in out_lines:
             assert validate_conversation_record(json.loads(line)) == []
+
+    def test_a_plain_http_run_never_loads_tls(self, tmp_path):
+        # a fresh interpreter: this one has imported ssl for the https tests
+        cfg = scripted_config(tmp_path, n=2)
+        code = ("import json, sys\n"
+                "from convogen.config import config_from_dict\n"
+                "from convogen.pipeline import run_pipeline\n"
+                "summary = run_pipeline(config_from_dict(json.loads(sys.argv[1])))\n"
+                "print(summary['conversations'], 'ssl' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(asdict(cfg))],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2", "False"]
 
     def test_connections_outlive_shards_and_close_with_the_run(self, tmp_path, monkeypatch):
         # the shards share one thread pool and the gateway's connections,

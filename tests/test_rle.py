@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from convogen import rle
 
 from conftest import masks_on
-from oracles import encode
+from oracles import bounds, encode
 
 
 def test_round_trip_simple():
@@ -147,6 +147,47 @@ def test_different_grids_raise():
         overlap_of(a, b)
     with pytest.raises(ValueError):
         union_of([a, b])
+
+
+# ------------------------------------------------- packed bounds
+
+def runs_of(mask: str) -> tuple[list[int], list[int]]:
+    """Foreground runs of the decoded grid as flat [start, end) bounds."""
+    flat = np.concatenate(([0], rle.decode(mask).ravel().astype(np.int8), [0]))
+    steps = np.diff(flat)
+    return np.flatnonzero(steps == 1).tolist(), np.flatnonzero(steps == -1).tolist()
+
+
+def unpacked(iv: rle.Intervals) -> tuple:
+    """``iv`` with its bounds as tuples of ints, the layout before packing."""
+    return tuple(iv._replace(starts=bounds(iv.starts), ends=bounds(iv.ends)))
+
+
+@given(mask_sets() | wide_mask_sets())
+def test_packed_bounds_are_the_grid_runs(masks):
+    for mask in masks:
+        iv = rle.intervals(mask)
+        starts, ends = runs_of(mask)
+        assert (list(bounds(iv.starts)), list(bounds(iv.ends))) == (starts, ends)
+        assert len(iv.starts) == len(iv.ends) == 8 * len(starts)
+
+
+@given(st.data())
+def test_packed_intervals_order_as_tuples_of_ints(data):
+    # bounds past 255 too, which a little-endian layout would misorder
+    width, height = data.draw(grids | st.tuples(st.integers(16, 64), st.integers(16, 48)))
+    pair = data.draw(st.lists(masks_on(width, height, max_cuts=6), min_size=2, max_size=2))
+    a, b = (rle.intervals(m) for m in pair)
+    ta, tb = unpacked(a), unpacked(b)
+    assert (a < b, a == b, a > b) == (ta < tb, ta == tb, ta > tb)
+
+
+@given(mask_sets())
+def test_pixel_equal_masks_give_equal_hashable_intervals(masks):
+    for mask in masks:
+        iv = rle.intervals(mask)
+        for same in (rle.intervals(encode(rle.decode(mask))), union_of([mask, mask])):
+            assert same == iv and hash(same) == hash(iv)
 
 
 def test_intervals_are_read_only():
