@@ -7,9 +7,10 @@ See convogen.adapters for the adapter contract.
 """
 
 import argparse
-import json
 
 from convogen.adapters import ADAPTERS
+from convogen.ingestion import publish
+from convogen.metadata import record_line
 
 
 def main() -> None:
@@ -19,12 +20,8 @@ def main() -> None:
     parser.add_argument("--dataset-id", required=True)
     parser.add_argument("--out", required=True, help="output manifest JSONL")
     args = parser.parse_args()
-    adapter = ADAPTERS[args.adapter]
-    count = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for record in adapter(args.source, args.dataset_id):
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            count += 1
+    records = ADAPTERS[args.adapter](args.source, args.dataset_id)
+    count = publish(args.out, (record_line(record) + "\n" for record in records))
     print(f"wrote {count} records to {args.out}")
 
 

@@ -59,6 +59,13 @@ class PipelineConfig:
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
     features: FeatureFlags = field(default_factory=FeatureFlags)
 
+    def __post_init__(self):
+        if self.parallelism < 1:
+            raise ValueError(f"parallelism {self.parallelism} must be at least 1")
+        if self.claim_staleness_s <= 0:
+            # every claim, a live worker's own included, would be stale at once
+            raise ValueError(f"claim_staleness_s {self.claim_staleness_s} must be above 0")
+
     def resolved_shard_dir(self) -> Path:
         return Path(self.shard_dir) if self.shard_dir else Path(self.output_dir) / "shards"
 
@@ -102,11 +109,6 @@ def build_section(cls, data: dict):
 
 def config_from_dict(data: dict) -> PipelineConfig:
     cfg = build_section(PipelineConfig, data)
-    if cfg.claim_staleness_s <= 0:
-        # every claim, a live worker's own included, would be stale at once
-        raise ConfigError(f"claim_staleness_s {cfg.claim_staleness_s} must be above 0")
-    if cfg.parallelism < 1:
-        raise ConfigError(f"parallelism {cfg.parallelism} must be at least 1")
     cfg.gateway = cfg.gateway.with_env_overrides()
     return cfg
 

@@ -335,7 +335,8 @@ class LlmGateway:
             usage = data.get("usage") or {}
             return (content, int(usage.get("prompt_tokens", 0)),
                     int(usage.get("completion_tokens", 0)))
-        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError,
+                OverflowError) as exc:  # OverflowError: a count of Infinity
             raise ProtocolError(f"malformed chat-completion body: {exc}") from exc
 
     def complete(self, prompt: str, stage: str = "default", seed: Optional[int] = None) -> str:

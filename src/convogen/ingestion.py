@@ -13,6 +13,7 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional
@@ -126,6 +127,24 @@ def open_input(path: str | Path, what: str, mode: str = "r") -> IO:
         return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def publish(path: str | Path, chunks: Iterable[str], exclusive: bool = False) -> int:
+    """Write a whole file: the chunks go to a temp file beside ``path``,
+    unique per thread, that then replaces ``path`` (``exclusive``: is linked
+    there, or FileExistsError). Whatever stops it leaves the old file or
+    none and no temp file. Returns the number of chunks."""
+    tmp = Path(f"{path}.{os.getpid()}-{threading.get_ident()}.tmp")
+    count = 0
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                count += 1
+        (os.link if exclusive else os.replace)(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return count
 
 
 def load_id_map(path: str | Path) -> dict[tuple[str, str], str]:
@@ -331,19 +350,5 @@ def group_by_image(
 
 
 def write_manifest(bundles: Iterable[MetadataBundle], path: str | Path) -> int:
-    """Write bundles as unified-manifest JSONL; returns the record count.
-
-    The records go to a temp file beside ``path`` that replaces it once all
-    are written, so whatever stops the writing leaves no partial manifest.
-    """
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    count = 0
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for bundle in bundles:
-                fh.write(record_line(bundle_to_record(bundle)) + "\n")
-                count += 1
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return count
+    """Publish bundles as unified-manifest JSONL; returns the record count."""
+    return publish(path, (record_line(bundle_to_record(b)) + "\n" for b in bundles))

@@ -28,7 +28,7 @@ from .context import assemble_context
 from .errors import AlreadyClaimed, ConfigError, LlmUnavailable
 from .gateway import LlmGateway, probe_endpoint
 from .generation import Conversation, generate_conversation, generate_conversation_direct
-from .ingestion import load_bundle, open_input
+from .ingestion import load_bundle, open_input, publish
 from .prompts import PromptDistribution, load_prompt_set
 from .scene_tree import build_scene_tree
 from .scripted_server import ScriptedLlmServer, default_pipeline_rules, load_fixture_file
@@ -143,7 +143,7 @@ def _recover(conv_path: Path, tree_path: Path) -> set[str]:
 
 
 def _process_image(
-    record: dict,
+    line: str,
     key: str,
     seed: int,
     conv_id: str,
@@ -152,20 +152,24 @@ def _process_image(
     gateway: LlmGateway,
     base_dir: Optional[Path] = None,
 ) -> _Result:
-    """Run one image through the enabled stages; it writes nothing.
+    """Run one image's manifest line through the enabled stages; it writes
+    nothing.
 
     Returns (conversation, ascii tree, stage timings, rows): the rows, for
     ``errors.jsonl``, are its ingest warnings and its skip or failure, as
     (image id, stage, reason, error class or None); the conversation is None
     when it was skipped or failed. This is the image's one failure boundary:
     whatever a bad record or a bad model reply raises becomes a row naming
-    the stage and the exception class, and costs this image only.
+    the stage and the exception class, and costs this image only. A line
+    that does not parse is such a row, under image id ``?``.
     """
     timings: dict[str, float] = {}
-    image_id = str(record.get("image_id", "?"))
+    image_id = "?"
     rows: list[tuple[str, str, str, Optional[str]]] = []
     stage, t0 = "ingest", time.monotonic()
     try:
+        record = json.loads(line)
+        image_id = str(record.get("image_id", "?"))
         warnings: list[dict] = []
         bundle = load_bundle(record, warnings.append, base_dir=base_dir)
         rows += [(image_id, "ingest", w.get("reason", "warning"), None) for w in warnings]
@@ -397,9 +401,9 @@ def run_pipeline(
                     break
                 offset, *image = shard.todo.popleft()
                 shard.manifest.seek(offset)  # each record is read when it is submitted
-                record = json.loads(shard.manifest.readline())
                 window.append((shard, pool.submit(
-                    _process_image, record, *image, cfg, dist, gateway, shard.base_dir
+                    _process_image, shard.manifest.readline(), *image, cfg, dist, gateway,
+                    shard.base_dir,
                 )))
         commit_until(0)
         wall = time.monotonic() - started
@@ -408,7 +412,5 @@ def run_pipeline(
             round(summary["conversations"] / wall * 3600.0, 1) if wall > 0 else 0.0
         )
         summary["gateway"] = gateway.metrics_snapshot()
-        (out_dir / f"summary_{worker_id}.json").write_text(
-            json.dumps(summary, indent=2), encoding="utf-8"
-        )
+        publish(out_dir / f"summary_{worker_id}.json", [json.dumps(summary, indent=2)])
         return summary

@@ -38,7 +38,8 @@ def request_digest(messages: list[dict]) -> str:
     """Stable fixture key: hash of the concatenated message contents only,
     so prompts can change sampling parameters without re-recording."""
     joined = "\x1e".join(m.get("content", "") for m in messages)
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+    # a JSON string may hold a lone surrogate, which strict UTF-8 refuses
+    return hashlib.sha256(joined.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def _context_sentences(prompt: str) -> list[str]:

@@ -2,14 +2,15 @@
 
 Ownership of a shard comes in generations. Generation ``g`` is the file
 ``<shard>.claim.<g>``, and the newest generation is the claim in force. A
-claimer writes its whole body to a temp file and publishes it with an
-exclusive ``os.link`` to the next generation's name, so a claim never
-appears without its body, and of any number of workers that read the same
-released or stale generation exactly one publishes its successor. Workers
+claimer publishes its whole body with an exclusive link to the next
+generation's name (``ingestion.publish``), so a claim never appears without
+its body, and of any number of workers that read the same released or
+stale generation exactly one publishes its successor. Workers
 never delete claim files, so no generation is reused; the holder of a
 superseded generation sees the newer file and stops refreshing, releasing
-or committing output under its claim (a fencing token). A live claim has a
-heartbeat within the staleness window and no ``released`` mark. A claim
+or committing output under its claim (a fencing token). A live claim's
+body is a JSON object with a numeric heartbeat within the staleness window
+and no ``released`` mark; any other body is not live. A claim
 starts no thread: the worker's committer refreshes the claims it holds.
 """
 
@@ -17,15 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .errors import AlreadyClaimed, ConfigError
-from .ingestion import DatasetDescriptor, WarnFn, ignore_warning, link_key, open_input
+from .ingestion import DatasetDescriptor, WarnFn, ignore_warning, link_key, open_input, publish
 
 
 def stable_shard(canonical_key: str, n: int) -> int:
@@ -85,11 +84,7 @@ def plan_shards(
     paths = []
     for shard in shards:
         path = out_dir / f"shard_{shard['shard_id']:05d}.json"
-        tmp = _write_temp(path, json.dumps(shard))
-        try:
-            os.replace(tmp, path)  # no torn shard file
-        finally:
-            tmp.unlink(missing_ok=True)
+        publish(path, [json.dumps(shard)])
         paths.append(path)
     return paths
 
@@ -157,7 +152,7 @@ class ShardClaim:
         if self.released or not self.is_current():
             return False
         self.heartbeat = time.time()
-        os.replace(_write_temp(self.path, self._body()), self.path)
+        publish(self.path, [self._body()])
         return True
 
     def release(self) -> None:
@@ -165,7 +160,7 @@ class ShardClaim:
         superseded claim is left as it is."""
         self.released = True
         if self.is_current():
-            os.replace(_write_temp(self.path, self._body(released=True)), self.path)
+            publish(self.path, [self._body(released=True)])
 
 
 def claim_path_for(shard_path: str | Path, generation: int) -> Path:
@@ -183,13 +178,6 @@ def current_generation(shard_path: str | Path) -> int:
     while claim_path_for(shard_path, generation + 1).exists():
         generation += 1
     return generation
-
-
-def _write_temp(path: Path, body: str) -> Path:
-    """Write ``body`` to a temp file beside ``path``, unique per thread."""
-    tmp = Path(f"{path}.{os.getpid()}-{threading.get_ident()}.tmp")
-    tmp.write_text(body, encoding="utf-8")
-    return tmp
 
 
 def claim_shard(
@@ -212,12 +200,11 @@ def claim_shard(
         holder = claim_path_for(shard_path, current)
         try:
             existing = json.loads(holder.read_text(encoding="utf-8"))
-            live = not existing.get("released") and (
-                time.time() - float(existing.get("heartbeat", 0.0)) <= staleness_s
-            )
         except (OSError, ValueError):
-            live = False
-        if live:
+            existing = None
+        heartbeat = existing.get("heartbeat") if isinstance(existing, dict) else None
+        numeric = isinstance(heartbeat, (int, float)) and not isinstance(heartbeat, bool)
+        if numeric and not existing.get("released") and time.time() - heartbeat <= staleness_s:
             raise AlreadyClaimed(f"{holder} held by a live worker")
     claim = ShardClaim(
         shard_id=shard_id,
@@ -226,11 +213,8 @@ def claim_shard(
         shard_path=shard_path,
         generation=current + 1,
     )
-    tmp = _write_temp(claim.path, claim._body())
     try:
-        os.link(tmp, claim.path)
+        publish(claim.path, [claim._body()], exclusive=True)
     except FileExistsError:
         raise AlreadyClaimed(f"{claim.path} published by another worker") from None
-    finally:
-        os.unlink(tmp)
     return claim

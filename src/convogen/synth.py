@@ -6,6 +6,7 @@ import random
 from pathlib import Path
 
 from . import rle
+from .ingestion import publish
 from .metadata import record_line
 
 LABELS = ["person", "dog", "cat", "car", "tree", "chair", "apple", "bottle", "bird", "lamp"]
@@ -86,7 +87,5 @@ def write_synthetic_manifest(path: str | Path, n: int, seed: int = 0, **kwargs) 
     rng = random.Random(seed)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(n):
-            fh.write(record_line(synthetic_record(rng, i, **kwargs)) + "\n")
+    publish(path, (record_line(synthetic_record(rng, i, **kwargs)) + "\n" for i in range(n)))
     return path

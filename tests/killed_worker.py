@@ -22,6 +22,8 @@ from convogen import pipeline
 from convogen.config import PipelineConfig, config_from_dict
 
 KILL_POINTS = ("before", "after")
+# a rescuer's claim staleness: the dead worker's claim, however young, is stale
+RESCUE_STALENESS_S = 1e-6
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 

@@ -35,7 +35,12 @@ from convogen.sharding import claim_shard, plan_shards
 from convogen.synth import write_synthetic_manifest
 
 from conftest import PROMPTS_DIR, make_image
-from killed_worker import KILL_POINTS, assert_same_as_clean, run_killed_worker
+from killed_worker import (
+    KILL_POINTS,
+    RESCUE_STALENESS_S,
+    assert_same_as_clean,
+    run_killed_worker,
+)
 from test_scene_tree import (
     oracle_parents,
     oracle_partition,
@@ -473,7 +478,8 @@ def test_distributed_claims_and_crash_resume(tmp_path):
         plan_shards(manifest, 1, crash_dir / "shards")
         crash_cfg = scripted_cfg(crash_dir, manifest, features)
         run_killed_worker(crash_cfg, commits=5, when=when)
-        resumed = run_pipeline(replace(crash_cfg, claim_staleness_s=0.0), worker_id="rescuer")
+        rescue_cfg = replace(crash_cfg, claim_staleness_s=RESCUE_STALENESS_S)
+        resumed = run_pipeline(rescue_cfg, worker_id="rescuer")
         assert resumed["resumed"] == (5 if when == "before" else 6)
         # resume reproduces the uninterrupted run exactly, trees included
         ids, _ = assert_same_as_clean(crash_dir / "out", ref_dir / "out")

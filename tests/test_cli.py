@@ -8,6 +8,7 @@ import pytest
 
 from convogen import rle
 from convogen.cli import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_RUNTIME, main
+from convogen.config import PipelineConfig
 from convogen.ingestion import (
     group_by_image,
     link_key,
@@ -345,6 +346,13 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not list((tmp_path / "shards").glob("*.claim.*"))
+
+    @pytest.mark.parametrize("key, value", [("claim_staleness_s", 0.0),
+                                            ("claim_staleness_s", -1.0), ("parallelism", 0)])
+    def test_a_config_built_in_code_refuses_what_a_loaded_one_does(self, key, value):
+        # a staleness of 0 would refresh the claim at every wait of the committer
+        with pytest.raises(ValueError, match=key):
+            PipelineConfig(**{key: value})
 
     def test_every_call_rejected_exits_four(self, tmp_path, capsys):
         # a systematic fault (say, a wrong model name answered with 400)

@@ -4,6 +4,7 @@ every other image's output equals a run without the fault, byte for byte."""
 
 import json
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -24,16 +25,18 @@ CLEAN = [rich_record(i) for i in range(4)]
 ROW_KEYS = {"image_id", "shard", "worker", "stage", "reason"}
 
 
-def run_over(records: list[dict], base: Path, url: str = "",
-             parallelism: int = 3) -> tuple[dict, list[dict]]:
-    """Plan one shard over ``records`` and run one worker on it; returns
-    the summary and the lines the plan skipped. Without ``url`` the worker
-    starts its own scripted server."""
+def run_over(records: list[dict], base: Path, url: str = "", parallelism: int = 3,
+             after_plan: Callable[[Path], None] = lambda manifest: None,
+             ) -> tuple[dict, list[dict]]:
+    """Plan one shard over ``records``, call ``after_plan`` on the manifest
+    and run one worker on it; returns the summary and the lines the plan
+    skipped. Without ``url`` the worker starts its own scripted server."""
     base.mkdir(parents=True, exist_ok=True)
     manifest = base / "manifest.jsonl"
     manifest.write_text("".join(record_line(r) + "\n" for r in records), encoding="utf-8")
     skipped: list[dict] = []
     plan_shards(manifest, 1, base / "shards", on_warning=skipped.append)
+    after_plan(manifest)
     gateway = (
         GatewayConfig(mode="live", endpoint_url=url, backoff_base_ms=1)
         if url
@@ -248,3 +251,21 @@ def test_error_rows_are_written_in_commit_order(tmp_path):
         ("0102", "ingest", None),
     ]
     assert written[4] == written[1]
+
+
+def test_a_line_damaged_after_planning_costs_only_its_image(clean_run, tmp_path):
+    # the plan read three whole records; the worker reads line 2 as "{" and spaces
+    def damage(manifest: Path) -> None:
+        lines = manifest.read_bytes().split(b"\n")
+        lines[1] = b"{" + b" " * (len(lines[1]) - 1)
+        manifest.write_bytes(b"\n".join(lines))
+
+    summary, skipped = run_over(CLEAN[:3], tmp_path, after_plan=damage)
+    assert not skipped
+    assert (summary["images"], summary["conversations"], summary["errors"]) == (3, 2, 1)
+    [row] = error_rows(tmp_path)
+    assert (row["image_id"], row["stage"], row["error"]) == ("?", "ingest", "JSONDecodeError")
+    conversations, trees = clean_run
+    assert read_lines(tmp_path, "conversations") == [conversations[0], conversations[2]]
+    assert read_lines(tmp_path, "trees") == [trees[0], trees[2]]
+    assert claim_released(tmp_path)

@@ -10,6 +10,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convogen import gateway, scripted_server
 from convogen.errors import ConfigError, LlmUnavailable, ProtocolError
@@ -790,6 +792,173 @@ class TestTransport:
     def test_endpoint_needs_http_scheme(self):
         with pytest.raises(ValueError):
             _endpoint("ftp://127.0.0.1:8000")
+
+
+# ---------------------------------------------------------------------------
+# Both HTTP ends fuzzed: whatever bytes arrive, each call or request ends in
+# time with a framed answer, and a kept connection stays in step.
+# ---------------------------------------------------------------------------
+
+# bytes within one line of a message
+IN_LINE = st.binary(max_size=12).map(lambda data: data.replace(b"\n", b""))
+
+
+def mostly(*good: bytes) -> st.SearchStrategy[bytes]:
+    """One of ``good`` three times in four, else bytes of one line."""
+    return st.integers(0, 3).flatmap(lambda n: IN_LINE if n == 0 else st.sampled_from(good))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(exclude_categories=()), max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+BODIES = JSON_VALUES.map(lambda value: json.dumps(value).encode()) | st.binary(max_size=40)
+COMPLETIONS = st.builds(
+    lambda content, usage: json.dumps(
+        {"choices": [{"message": {"content": content}}], **usage}).encode(),
+    JSON_VALUES | st.text(max_size=20),
+    st.fixed_dictionaries({}, optional={"usage": st.dictionaries(
+        st.sampled_from(["prompt_tokens", "completion_tokens"]), JSON_VALUES)}),
+)
+CHAT_BODIES = st.builds(
+    lambda messages: json.dumps({"messages": messages}).encode(),
+    st.lists(st.fixed_dictionaries({"role": st.sampled_from(["user", "system"])},
+                                   optional={"content": JSON_VALUES}), max_size=3),
+)
+# lengths that are not a length of this message: refused before any body is read
+BAD_LENGTHS = [b"", b"-1", b"1a", b"1 2", b"9" * 18, b"9" * 19]
+BAD_CHUNK_SIZES = [b"", b"-1", b"g", b"f" * 16, b"f" * 17]
+SENTINEL_REPLY = with_length(completion("sentinel"))
+# failed this gate before the fix: a usage count of Infinity, whose int() overflows
+INFINITE_USAGE = with_length(
+    b'{"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": Infinity}}')
+# failed this gate before the fix: a lone surrogate, which UTF-8 cannot encode for the digest
+LONE_SURROGATE = chat_request("\ud800")
+
+
+def chunked_body(body: bytes, cuts: list[int], eol: bytes) -> bytes:
+    edges = sorted({0, len(body), *(cut % (len(body) + 1) for cut in cuts)})
+    chunks = [body[a:b] for a, b in zip(edges, edges[1:])]
+    return b"".join(b"%x%s%s%s" % (len(c), eol, c, eol) for c in chunks) + b"0" + eol + eol
+
+
+@st.composite
+def fuzzed_messages(draw, start_lines, bodies, chunked_ok: bool) -> bytes:
+    """One HTTP message whose parts are each drawn well formed or not: start
+    line, fields, framing and body. A length it declares is its true length
+    or no length at all, so the message ends where its framing says."""
+    eol = draw(st.sampled_from([b"\r\n", b"\n"]))
+    head = [draw(start_lines)]
+    head += [name + b": " + value for name, value in draw(st.lists(st.tuples(IN_LINE, IN_LINE),
+                                                                  max_size=3))]
+    head += draw(st.lists(st.sampled_from([b"Connection: close", b"Connection: keep-alive",
+                                           b"Expect: 100-continue"]), max_size=2))
+    body = draw(bodies)
+    framing = draw(st.sampled_from(["length"] * 4 + ["bad-length", "chunked", "bad-chunk", "none"]))
+    if framing == "length":
+        head.append(b"Content-Length: %d" % len(body))
+    elif framing == "bad-length":
+        head.append(b"Content-Length: " + draw(st.sampled_from(BAD_LENGTHS)))
+    elif framing in ("chunked", "bad-chunk"):
+        head.append(b"Transfer-Encoding: chunked")
+        if framing == "bad-chunk":
+            body = draw(st.sampled_from(BAD_CHUNK_SIZES)) + eol + body
+        elif chunked_ok:
+            body = chunked_body(body, draw(st.lists(st.integers(0, 64), max_size=3)), eol)
+    elif not chunked_ok:
+        body = b""  # a request without a length has no body
+    return b"".join(line + eol for line in head) + eol + body
+
+
+def fuzzed_replies():
+    status_lines = st.builds(
+        lambda version, status: version + b" " + status,
+        mostly(b"HTTP/1.1", b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2"),
+        mostly(b"200 OK", b"200 OK", b"200 OK", b"100 Continue", b"204 No Content",
+               b"404 Not Found", b"429 Too Many Requests", b"2000 X", b"2x0"),
+    )
+    return fuzzed_messages(status_lines, COMPLETIONS | COMPLETIONS | BODIES, chunked_ok=True)
+
+
+def fuzzed_requests():
+    request_lines = st.builds(
+        lambda method, path, version: b" ".join((method, path, version)),
+        mostly(b"POST", b"POST", b"GET", b"PUT"),
+        mostly(b"/v1/chat/completions", b"/v1/chat/completions", b"/"),
+        mostly(b"HTTP/1.1", b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2"),
+    )
+    return fuzzed_messages(request_lines, CHAT_BODIES | CHAT_BODIES | BODIES, chunked_ok=False)
+
+
+def final_replies(data: bytes) -> list[tuple[int, dict[bytes, bytes], bytes]]:
+    """The replies in ``data`` past any 1xx, each an HTTP/1.1 status line and
+    a body framed by Content-Length; nothing follows the last."""
+    reader, replies = io.BytesIO(data), []
+    while line := read_line(reader):
+        version, code, _ = line.split(b" ", 2)
+        assert version == b"HTTP/1.1" and len(code) == 3 and code.isdigit(), line
+        fields = read_fields(reader)
+        if int(code) >= 200:
+            replies.append((int(code), fields, read_exact(reader, int(fields[b"content-length"]))))
+    assert reader.read() == b""
+    return replies
+
+
+def call_in_time(gw: LlmGateway, prompt: str):
+    """The reply text, or the class of the error the call raised, within 1 s."""
+    started = time.monotonic()
+    try:
+        outcome = gw.complete(prompt)
+    except (LlmUnavailable, ProtocolError) as exc:
+        outcome = type(exc)
+    assert time.monotonic() - started < 1.0
+    return outcome
+
+
+class TestWireFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(stream=st.binary(min_size=1, max_size=64) | fuzzed_replies())
+    @example(stream=INFINITE_USAGE)
+    def test_any_reply_stream_ends_each_call_in_time(self, stream):
+        # the bytes, then a well-formed reply, on one connection that the
+        # server then half-closes: a cut message ends at the stream's end
+        with RawServer([[stream + SENTINEL_REPLY]]) as server:
+            gw = LlmGateway(GatewayConfig(endpoint_url=server.url, retry_budget=0,
+                                          timeout_s=0.3))
+            try:
+                first = call_in_time(gw, "first")
+                pooled = bool(gw._idle)
+                second = call_in_time(gw, "second")
+            finally:
+                gw.close()
+        # a reply read whole and kept: the next reply on it is the sentinel
+        if isinstance(first, str) and first != "sentinel" and pooled:
+            assert second == "sentinel"
+
+    def test_any_request_stream_is_answered_in_time(self, capsys):
+        with ScriptedLlmServer(fixtures=[ECHO_RULE]) as server:
+
+            @settings(max_examples=100, deadline=None)
+            @given(stream=fuzzed_requests())
+            @example(stream=LONE_SURROGATE)
+            def check(stream):
+                started = time.monotonic()
+                data = talk(server, stream + chat_request("sentinel"), half_close=True)
+                assert time.monotonic() - started < 1.0
+                replies = final_replies(data)
+                assert replies, "no reply"
+                # a request read whole and kept: the next request is answered
+                if b"close" not in replies[0][1].get(b"connection", b""):
+                    assert [(status, reply_text(body)) for status, _, body in replies[1:]] \
+                        == [(200, "sentinel")]
+                else:
+                    assert len(replies) == 1
+
+            check()
+        assert capsys.readouterr().err == ""
 
 
 class TestLengthFields:

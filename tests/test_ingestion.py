@@ -1,10 +1,13 @@
 import itertools
 import json
+import os
 import random
+from pathlib import Path
 
 import pytest
 
-from convogen.errors import ConfigError, DuplicateDataset
+from convogen import ingestion
+from convogen.errors import AlreadyClaimed, ConfigError, DuplicateDataset
 from convogen.ingestion import (
     FILE_STEM,
     DatasetDescriptor,
@@ -17,8 +20,13 @@ from convogen.ingestion import (
     write_manifest,
 )
 from convogen.metadata import bundle_to_record
+from convogen.pipeline import run_pipeline
+from convogen.sharding import claim_shard, plan_shards
+from convogen.synth import write_synthetic_manifest
 
 from conftest import make_box, make_bundle, make_image
+from test_pipeline import scripted_config
+from test_sharding import manifest_of
 
 
 def entry(tmp_path, dataset_id, namespace=FILE_STEM) -> dict:
@@ -276,3 +284,89 @@ class TestManifestLoading:
         (bundle,) = load_manifest(manifest, warnings.append)
         assert bundle.boxes[0].mask_rle is None
         assert any("sidecar" in w["reason"] for w in warnings)
+
+
+class FailingReplace:
+    """Stands in for ``os`` inside ``convogen.ingestion``: a replace onto
+    ``target`` fails, as a crash before the rename would leave it."""
+
+    def __init__(self, target: Path):
+        self.target = target
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def replace(self, src, dst):
+        if Path(dst) == self.target:
+            raise OSError("crashed before the rename")
+        os.replace(src, dst)
+
+
+def republished_manifest(tmp_path):
+    dest = manifest_of(tmp_path, 2)
+    return dest, lambda: manifest_of(tmp_path, 3)
+
+
+def republished_shard_file(tmp_path):
+    (dest,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
+    manifest = manifest_of(tmp_path, 3)
+    return dest, lambda: plan_shards(manifest, 1, tmp_path / "shards")
+
+
+def claimed(tmp_path):
+    (shard,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
+    return claim_shard(shard, "w1")
+
+
+def refreshed_claim(tmp_path):
+    claim = claimed(tmp_path)
+    return claim.path, claim.refresh
+
+
+def released_claim(tmp_path):
+    claim = claimed(tmp_path)
+    return claim.path, claim.release
+
+
+def run_summary(tmp_path):
+    cfg = scripted_config(tmp_path, n=2)
+    return Path(cfg.output_dir) / "summary_w1.json", lambda: run_pipeline(cfg, worker_id="w1")
+
+
+def rewritten_synthetic_manifest(tmp_path):
+    dest = write_synthetic_manifest(tmp_path / "synth.jsonl", 3, seed=0)
+    return dest, lambda: write_synthetic_manifest(dest, 3, seed=1)
+
+
+class TestPublish:
+    @pytest.mark.parametrize("case", [republished_manifest, republished_shard_file,
+                                      refreshed_claim, released_claim, run_summary,
+                                      rewritten_synthetic_manifest],
+                             ids=lambda case: case.__name__)
+    def test_a_failed_publish_leaves_the_old_bytes_and_no_temp_file(
+            self, tmp_path, monkeypatch, case):
+        dest, publish_again = case(tmp_path)
+        before = dest.read_bytes() if dest.exists() else None
+        monkeypatch.setattr(ingestion, "os", FailingReplace(dest))
+        with pytest.raises(OSError, match="before the rename"):
+            publish_again()
+        assert (dest.read_bytes() if dest.exists() else None) == before
+        assert list(dest.parent.glob("*.tmp")) == []
+
+    def test_a_claimer_that_loses_the_link_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # another worker publishes generation 1 after this one found none
+        first = claimed(tmp_path)
+        shard = first.shard_path
+        monkeypatch.setattr("convogen.sharding.current_generation", lambda path: 0)
+        with pytest.raises(AlreadyClaimed, match="published by another worker"):
+            claim_shard(shard, "w2")
+        assert sorted(p.name for p in shard.parent.iterdir()) == [shard.name, first.path.name]
+
+    def test_publish_returns_the_chunk_count_and_writes_them_in_order(self, tmp_path):
+        dest = tmp_path / "out.txt"
+        assert ingestion.publish(dest, iter(["a\n", "", "b"])) == 3
+        assert dest.read_text() == "a\nb"
+        with pytest.raises(FileExistsError):
+            ingestion.publish(dest, ["c"], exclusive=True)
+        assert dest.read_text() == "a\nb"
+        assert sorted(tmp_path.iterdir()) == [dest]

@@ -38,7 +38,12 @@ from convogen.sharding import (
 )
 
 from conftest import PROMPTS_DIR, REPO_ROOT, make_image
-from killed_worker import KILL_POINTS, assert_same_as_clean, run_killed_worker
+from killed_worker import (
+    KILL_POINTS,
+    RESCUE_STALENESS_S,
+    assert_same_as_clean,
+    run_killed_worker,
+)
 from test_gateway import ConnectionLog
 
 
@@ -260,8 +265,9 @@ class TestRunPipeline:
         for when in KILL_POINTS:
             cfg = scripted_config(tmp_path / when, n=8)
             run_killed_worker(cfg, commits=3, when=when)
-            # resume with staleness 0 so the dead worker's claim is taken over
-            second = run_pipeline(replace(cfg, claim_staleness_s=0.0), worker_id="w2")
+            # resume with a tiny staleness so the dead worker's claim is taken over
+            rescue = replace(cfg, claim_staleness_s=RESCUE_STALENESS_S)
+            second = run_pipeline(rescue, worker_id="w2")
             assert second["resumed"] == (3 if when == "before" else 4)
             ids, tree_ids = assert_same_as_clean(Path(cfg.output_dir), Path(clean.output_dir))
             assert len(ids) == 8
@@ -281,7 +287,8 @@ class TestRunPipeline:
                 cut_ids[name] = json.loads(data[last:])["id"]
                 # a crash in the middle of appending the final record
                 path.write_bytes(data[: last + (len(data) - last) // 2])
-            second = run_pipeline(replace(cfg, claim_staleness_s=0.0), worker_id="w2")
+            rescue = replace(cfg, claim_staleness_s=RESCUE_STALENESS_S)
+            second = run_pipeline(rescue, worker_id="w2")
             assert second["resumed"] == (2 if when == "before" else 3)
             ids, tree_ids = assert_same_as_clean(Path(cfg.output_dir), Path(clean.output_dir))
             assert len(ids) == 8

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from convogen import sharding
+from convogen import ingestion
 from convogen.errors import AlreadyClaimed, ConfigError
 from convogen.ingestion import write_manifest
 from convogen.sharding import (
@@ -24,7 +24,7 @@ from conftest import make_bundle, make_image
 
 
 class PausingOs:
-    """Stands in for ``os`` inside ``convogen.sharding``: the thread named
+    """Stands in for ``os`` inside ``convogen.ingestion``: the thread named
     ``thread_name`` blocks around its first call to one of ``calls``
     (before it when ``after`` is false), until ``resume`` is set."""
 
@@ -140,7 +140,7 @@ class TestPlanShards:
             def replace(self, src, dst):
                 raise OSError("crashed before the rename")
 
-        monkeypatch.setattr(sharding, "os", CrashAtRename())
+        monkeypatch.setattr(ingestion, "os", CrashAtRename())
         with pytest.raises(OSError, match="before the rename"):
             plan_shards(manifest_of(tmp_path, 6), 1, tmp_path / "shards")
         assert path.read_bytes() == before
@@ -181,6 +181,16 @@ class TestClaims:
         tmp.replace(old.path)
         claim = claim_shard(path, "w2", staleness_s=300)
         assert claim.worker_id == "w2"
+
+    @pytest.mark.parametrize("body", ["", "not json", '{"heartbeat": "soon"}', "[]",
+                                      '{"heartbeat": null}'],
+                             ids=["empty", "not-json", "heartbeat-string", "not-an-object",
+                                  "heartbeat-null"])
+    def test_a_damaged_claim_body_is_taken_over(self, tmp_path, body):
+        # not a JSON object with a numeric heartbeat: the claim is not live
+        (path,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
+        claim_shard(path, "w1").path.write_text(body)
+        assert claim_shard(path, "w2").generation == 2
 
     def test_release_then_reclaim(self, tmp_path):
         (path,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
@@ -244,7 +254,7 @@ class TestClaims:
         # publishes it. A second claimer must find a live claim there.
         (path,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
         gate = PausingOs("A", {"open", "link"}, after=True)
-        monkeypatch.setattr(sharding, "os", gate)
+        monkeypatch.setattr(ingestion, "os", gate)
         outcome = {}
         first = claim_in_thread(path, "A", outcome)
         try:
@@ -263,7 +273,7 @@ class TestClaims:
         (path,) = plan_shards(manifest_of(tmp_path, 2), 1, tmp_path / "shards")
         make_stale(claim_shard(path, "A"))
         gate = PausingOs("B", {"rename", "link"}, after=False)
-        monkeypatch.setattr(sharding, "os", gate)
+        monkeypatch.setattr(ingestion, "os", gate)
         outcome = {}
         held = claim_in_thread(path, "B", outcome)
         try:
