@@ -4,8 +4,10 @@
 Runs ``ingest`` (with a registry and an id map), ``plan``, ``run`` (scripted:
 features off, all features with LLM reduction, all with lexical reduction,
 all without reduction, then that run again as a second worker that resumes
-every image), ``tree`` and ``validate`` on a small synthetic corpus, plus
-one live-mode ``run`` against a ``ScriptedLlmServer``, under a
+every image of the shards its ``--shards`` names, and all features with a
+fixture file named by the config), ``tree`` and ``validate`` on a small
+synthetic corpus, plus one live-mode ``run`` against a
+``ScriptedLlmServer``, each run's features set in its config, under a
 ``sys.setprofile`` hook on every thread. Prints each function or method
 defined in ``src/convogen`` whose code never ran, one per line as
 ``module:line qualname``.
@@ -32,6 +34,8 @@ from convogen.synth import write_synthetic_manifest
 
 PACKAGE_DIR = Path(convogen.__file__).resolve().parent
 REPO_ROOT = Path(__file__).resolve().parents[1]
+ALL_FEATURES = {"filtering": True, "bbox_conversion": True, "reduction": True}
+NO_REDUCTION = {"filtering": True, "bbox_conversion": True}
 
 
 def defined_functions() -> dict[tuple[str, int], str]:
@@ -100,6 +104,16 @@ def run_config(work: Path, name: str, grouped: Path, **overrides) -> str:
     return str(path)
 
 
+def write_fixtures(work: Path) -> str:
+    """The shipped rules behind one that answers each filter prompt with
+    the prompt itself, which parses as no verdict."""
+    rules = [{"pattern": r"KEEP or DROP", "program": "echo-last-user"},
+             *default_pipeline_rules()]
+    path = work / "fixtures.jsonl"
+    path.write_text("".join(json.dumps(rule) + "\n" for rule in rules), encoding="utf-8")
+    return str(path)
+
+
 def exercise(work: Path, images: int) -> None:
     files = write_corpus(work, images)
     linking = ["--registry", str(files["registry"]), "--id-map", str(files["id_map"])]
@@ -108,15 +122,16 @@ def exercise(work: Path, images: int) -> None:
         ["ingest", "--out", str(grouped), *linking],
         ["plan", "--manifest", str(grouped), "--shards", "2",
          "--out-dir", str(work / "shards"), *linking],
-        ["run", "--config", run_config(work, "off", grouped), "--features", ""],
-        ["run", "--config", run_config(work, "reduce", grouped),
-         "--features", "filtering,bbox,reduction"],
-        ["run", "--config", run_config(work, "lexical", grouped, reduce_mode="lexical"),
-         "--features", "filtering,bbox,reduction"],
-        ["run", "--config", run_config(work, "direct", grouped), "--features", "filtering,bbox"],
+        ["run", "--config", run_config(work, "off", grouped, features={})],
+        ["run", "--config", run_config(work, "reduce", grouped, features=ALL_FEATURES)],
+        ["run", "--config", run_config(work, "lexical", grouped, reduce_mode="lexical",
+                                       features=ALL_FEATURES)],
+        ["run", "--config", run_config(work, "direct", grouped, features=NO_REDUCTION)],
         # a second worker over finished shards resumes every image
-        ["run", "--config", str(work / "config-direct.json"), "--features", "filtering,bbox",
-         "--worker-id", "worker-1"],
+        ["run", "--config", str(work / "config-direct.json"), "--worker-id", "worker-1",
+         "--shards", "0,1"],
+        ["run", "--config", run_config(work, "fixtures", grouped, features=ALL_FEATURES,
+                                       scripted_fixtures=write_fixtures(work))],
         ["tree", "--manifest", str(grouped), "--index", "0"],
         ["validate", "--manifest", str(grouped)],
     ]
@@ -125,9 +140,9 @@ def exercise(work: Path, images: int) -> None:
         if code not in (0, 1):  # validate reports findings with 1
             raise SystemExit(f"convogen {argv[0]} exited {code}")
     with ScriptedLlmServer(fixtures=default_pipeline_rules()) as server:
-        live = run_config(work, "live", grouped,
+        live = run_config(work, "live", grouped, features=ALL_FEATURES,
                           gateway={"mode": "live", "endpoint_url": server.url})
-        code = cli(["run", "--config", live, "--features", "filtering,bbox,reduction"])
+        code = cli(["run", "--config", live])
         if code != 0:
             raise SystemExit(f"live convogen run exited {code}")
 

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import FeatureFlags, load_config
+from .config import load_config
 from .errors import ConfigError, LlmUnavailable, PipelineError
 from .ingestion import (
     group_by_image,
@@ -76,17 +76,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if args.features is not None:
-        cfg.features = FeatureFlags.parse(args.features)
-    if args.seed is not None:
-        cfg.rng_seed = args.seed
-    if args.scripted_fixtures:
-        cfg.scripted_fixtures = args.scripted_fixtures
-        cfg.gateway.mode = "scripted"
-    shard_filter = (
-        {int(s) for s in args.shards.split(",")} if args.shards else None
-    )
-    summary = run_pipeline(cfg, worker_id=args.worker_id, shard_filter=shard_filter)
+    summary = run_pipeline(cfg, worker_id=args.worker_id, shard_filter=args.shards)
     print(
         f"worker {summary['worker_id']}: {summary['conversations']} conversations "
         f"from {summary['images']} images in {summary['wall_s']}s "
@@ -164,6 +154,14 @@ def _cmd_validate(args) -> int:
     return EXIT_FINDINGS if problems else EXIT_OK
 
 
+def _shard_ids(spec: str) -> set[int]:
+    """``--shards`` of ``run``: a comma list of shard ids."""
+    try:
+        return {int(s) for s in spec.split(",")}
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of shard ids: {spec!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convogen",
@@ -188,10 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="claim shards and generate conversations")
     p.add_argument("--config", required=True)
     p.add_argument("--worker-id", default="worker-0")
-    p.add_argument("--shards", default=None, help="comma list of shard ids to attempt")
-    p.add_argument("--features", default=None, help="e.g. filtering,bbox,reduction")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--scripted-fixtures", default=None, help="fixture JSONL; forces scripted mode")
+    p.add_argument("--shards", type=_shard_ids, default=None,
+                   help="comma list of shard ids to attempt")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("tree", help="print the ASCII scene tree for one record")

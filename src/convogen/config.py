@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Literal, Optional
 
 from .errors import ConfigError
-from .gateway import GatewayConfig
+from .gateway import ENV_ENDPOINT, GatewayConfig
 from .generation import GenerationParams
 from .scene_tree import SceneTreeParams
 
@@ -20,24 +20,6 @@ class FeatureFlags:
     filtering: bool = False
     bbox_conversion: bool = False
     reduction: bool = False
-
-    @classmethod
-    def parse(cls, spec: str) -> "FeatureFlags":
-        """Comma list, e.g. ``filtering,bbox,reduction`` (empty = all off)."""
-        aliases = {
-            "filtering": "filtering",
-            "filter": "filtering",
-            "bbox": "bbox_conversion",
-            "bbox_conversion": "bbox_conversion",
-            "reduction": "reduction",
-            "reduce": "reduction",
-        }
-        flags = cls()
-        for token in (t.strip() for t in spec.split(",") if t.strip()):
-            if token not in aliases:
-                raise ConfigError(f"unknown feature {token!r}")
-            setattr(flags, aliases[token], True)
-        return flags
 
 
 @dataclass
@@ -109,7 +91,10 @@ def build_section(cls, data: dict):
 
 def config_from_dict(data: dict) -> PipelineConfig:
     cfg = build_section(PipelineConfig, data)
-    cfg.gateway = cfg.gateway.with_env_overrides()
+    try:
+        cfg.gateway = cfg.gateway.with_env_overrides()
+    except ValueError as exc:
+        raise ConfigError(f"bad {ENV_ENDPOINT}: {exc}") from exc
     return cfg
 
 

@@ -15,8 +15,9 @@ or 1-16 hex digits and a body only up to ``MAX_BODY`` bytes;
 ``https`` is verified against the system's CA certificates, and ``ssl``
 is imported only for it; proxy settings are not read. ``timeout_s`` is a
 deadline for each attempt, from its send to the reply's last byte, kept to
-10 ms. At most ``max_in_flight`` keep-alive connections are pooled. A
-pooled one that the server closed while idle is sent once more on a fresh
+10 ms. At most ``max_in_flight`` keep-alive connections are pooled, each
+only when its reader holds no byte past the reply it framed. A pooled
+one that the server closed while idle is sent once more on a fresh
 connection, which is not a retry (RFC 9112 section 9.3.1); any other
 failure spends the budget.
 """
@@ -76,6 +77,10 @@ class GatewayConfig:
 
     def __post_init__(self):
         # settings that would fail every call fail here, at load
+        try:
+            _endpoint(self.endpoint_url)
+        except ValueError as exc:
+            raise ValueError(f"endpoint_url {self.endpoint_url!r}: {exc}") from None
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.mode not in ("live", "scripted"):
@@ -98,10 +103,11 @@ class GatewayConfig:
 
 
 def _endpoint(url: str) -> tuple[bool, str, Optional[int], str]:
-    """(tls, host, port, base path) of an http(s) URL."""
+    """(tls, host, port, base path) of an http(s) URL; a ``ValueError`` for
+    another scheme, no host or a port that is not in 0-65535."""
     parts = urlsplit(url.rstrip("/"))
     if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"not an http(s) endpoint: {url!r}")
+        raise ValueError("not an http(s) URL with a host")
     return parts.scheme == "https", parts.hostname, parts.port, parts.path
 
 
@@ -211,6 +217,14 @@ class _Connection:
         self.reader.close()
         self.sock.close()
 
+    def drained(self) -> bool:
+        """Whether the reader holds no byte past the last reply; reads nothing from the socket."""
+        self.reader.raw.deadline = 0.0  # so a read of the socket raises at once
+        try:
+            return not self.reader.peek(1)
+        except TimeoutError:
+            return True
+
     def exchange(self, request: bytes) -> tuple[int, bytes, bool]:
         """Send a whole request; the final reply's status, body and keep-alive."""
         reader = self.reader
@@ -307,7 +321,7 @@ class LlmGateway:
         except BaseException:
             conn.close()
             raise
-        if keep:
+        if keep and conn.drained():  # bytes past the reply answer no request of ours
             with self._lock:
                 self._idle.append(conn)
         else:

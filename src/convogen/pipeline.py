@@ -326,7 +326,7 @@ def run_pipeline(
             )
             gateway_cfg = replace(cfg.gateway, endpoint_url=server.url)
         elif not probe_endpoint(cfg.gateway.endpoint_url):
-            raise LlmUnavailable(f"endpoint unreachable: {cfg.gateway.endpoint_url}")
+            raise LlmUnavailable(f"nothing answers at {cfg.gateway.endpoint_url}")
         gateway = stack.enter_context(closing(LlmGateway(gateway_cfg)))
         threads = cfg.parallelism
         pool = ThreadPoolExecutor(max_workers=threads)

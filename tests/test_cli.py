@@ -155,8 +155,9 @@ def write_bad_input(tmp_path, flag: str, kind: str) -> Path:
 
 
 class TestInputFileFaults:
-    """A fault in an input file named on the command line is exit 2 with a
-    message naming the file (and the line), before any image runs."""
+    """A fault in an input file named on the command line, or for ``run`` by
+    the config's ``scripted_fixtures``, is exit 2 with a message naming the
+    file (and the line), before any image runs."""
 
     @pytest.mark.parametrize(
         "command, flag, kind",
@@ -169,6 +170,7 @@ class TestInputFileFaults:
             ("plan", "--id-map", "non-json"),
             ("plan", "--id-map", "missing"),
             ("plan", "--manifest", "missing"),
+            # run takes the fixture file from its config's scripted_fixtures
             ("run", "--scripted-fixtures", "non-json"),
             ("run", "--scripted-fixtures", "unknown-program"),
             ("run", "--scripted-fixtures", "no-answer"),
@@ -188,13 +190,13 @@ class TestInputFileFaults:
             "ingest": ["--registry", str(registry), "--out", str(tmp_path / "grouped.jsonl")],
             "plan": ["--manifest", str(manifest), "--shards", "1",
                      "--out-dir", str(tmp_path / "shards")],
-            "run": ["--config", str(write_config(tmp_path, manifest))],
+            "run": ["--config", str(write_config(tmp_path, manifest, scripted_fixtures=bad))],
             "validate": [],
             "tree": ["--index", "0"],
         }[command]
         if command == "run":
             plan_shards(manifest, 1, tmp_path / "shards")
-        if flag in args:
+        elif flag in args:
             args[args.index(flag) + 1] = bad
         else:
             args += [flag, bad]
@@ -363,9 +365,8 @@ class TestRun:
         plan_shards(manifest, 1, tmp_path / "shards")
         fixtures = tmp_path / "reject.jsonl"
         fixtures.write_text(json.dumps({"pattern": ".", "status": 400}) + "\n")
-        config = write_config(tmp_path, manifest)
-        assert main(["run", "--config", str(config),
-                     "--scripted-fixtures", str(fixtures)]) == EXIT_RUNTIME
+        config = write_config(tmp_path, manifest, scripted_fixtures=str(fixtures))
+        assert main(["run", "--config", str(config)]) == EXIT_RUNTIME
         assert "0 conversations from 3 images" in capsys.readouterr().out
         rows = [json.loads(line) for line in
                 (tmp_path / "out" / "errors.jsonl").read_text().splitlines()]
@@ -430,7 +431,7 @@ class TestRun:
             conversations[cwd] = (cwd / "out" / "conversations_shard_00000.jsonl").read_bytes()
         assert conversations[elsewhere] == conversations[planning]
 
-    def test_unreachable_live_endpoint_exits_three(self, tmp_path):
+    def test_unreachable_live_endpoint_exits_three(self, tmp_path, capsys):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
         from convogen.sharding import plan_shards
 
@@ -441,6 +442,42 @@ class TestRun:
             gateway={"mode": "live", "endpoint_url": "http://127.0.0.1:9"},
         )
         assert main(["run", "--config", str(config)]) == EXIT_ENDPOINT
+        assert capsys.readouterr().err.count("endpoint unreachable") == 1
+
+    @pytest.mark.parametrize("url, where", [("ftp://x", "config"),
+                                            ("http://127.0.0.1:99999", "config"),
+                                            ("http://", "config"), ("ftp://x", "env")])
+    def test_malformed_endpoint_url_exits_two(self, tmp_path, capsys, monkeypatch, url, where):
+        # it would fail every call, whether the config or CONVOGEN_ENDPOINT_URL sets it
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        gateway = {"mode": "live"}
+        if where == "env":
+            monkeypatch.setenv("CONVOGEN_ENDPOINT_URL", url)
+        else:
+            gateway["endpoint_url"] = url
+        config = write_config(tmp_path, manifest, gateway=gateway)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert "endpoint_url" in capsys.readouterr().err
+        assert not list((tmp_path / "shards").glob("*.claim.*"))
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--features", ""], ["--seed", "3"], ["--scripted-fixtures", "f.jsonl"],
+         ["--shards", "1,x"], ["--shards", ""]],
+        ids=["features", "seed", "scripted-fixtures", "shards-not-ints", "shards-empty"],
+    )
+    def test_usage_error_exits_two_before_any_claim(self, tmp_path, capsys, extra):
+        # every setting that shapes output is read from the config alone, so
+        # no flag sets features, the seed or the fixture file
+        manifest = write_fixture_manifest(tmp_path / "m.jsonl", 1)
+        plan_shards(manifest, 1, tmp_path / "shards")
+        config = write_config(tmp_path, manifest)
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--config", str(config), *extra])
+        assert exited.value.code == EXIT_CONFIG
+        assert extra[0] in capsys.readouterr().err
+        assert not list((tmp_path / "shards").glob("*.claim.*"))
 
     def test_scripted_run_end_to_end(self, tmp_path, capsys):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 4)
@@ -489,12 +526,12 @@ class TestRun:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "['overlap', 'union'] []"
 
-    def test_feature_flag_override(self, tmp_path):
+    def test_features_come_from_the_config(self, tmp_path):
         manifest = write_fixture_manifest(tmp_path / "m.jsonl", 2)
-        config = write_config(tmp_path, manifest, prompts_set="direct_min")
+        config = write_config(tmp_path, manifest, prompts_set="direct_min", features={})
         main(["plan", "--manifest", str(manifest), "--shards", "1",
               "--out-dir", str(tmp_path / "shards")])
-        assert main(["run", "--config", str(config), "--features", ""]) == EXIT_OK
+        assert main(["run", "--config", str(config)]) == EXIT_OK
         line = json.loads(
             (tmp_path / "out" / "conversations_shard_00000.jsonl").read_text().splitlines()[0]
         )

@@ -17,8 +17,6 @@ ALLOWED = {
     "pipeline:validate_conversation_record": "perfbench's output check calls it",
     "rle:decode": "perfbench patches it and clears its cache; it moves with ROADMAP item 1",
     "rle:foreground_area": "perfbench's self-test reads it; it moves with ROADMAP item 1",
-    "scripted_server:_prog_echo_last_user": "reached by run --scripted-fixtures",
-    "scripted_server:load_fixture_file": "reached by run --scripted-fixtures",
     "scripted_server:ScriptedLlmServer.stats": "perfbench's backend reports it",
 }
 
